@@ -20,22 +20,41 @@ contraction may offer several disjoint instances at once; firing one never
 suspends another, so divergent picks rejoin in one step. The remaining
 families can spawn higher-priority work when they fire, so they are
 offered one instance at a time.
+
+A step costs the nodes it builds, not the size of the proof. `step` shares
+every subtree off the redex path with its input and rebuilds only the path.
+Each node carries a `Summary` (rule count, weight, the redex families in
+its subtree, its own redex), computed the first time it is asked for and
+stored on the frozen node, so summarizing a reduct visits only the nodes
+the step built. `weight`, `rule_count` and the default step bound read the
+root's summary, and `find_redexes` enters only the subtrees that hold the
+offered family. A rebuilt node whose new premise concludes the very same
+formula objects keeps its validated conclusion; every other node is built
+by its checking constructor, and keeps the old formula objects when its
+conclusion comes out equal, so its own parent is copied in turn
+(`proofs.with_child`). Every step is still checked to lower the weight.
+Summaries stay lazy because parsing and encoding build many proofs that
+are never normalized, and would pay for them at construction.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import MachineError, ProofError, StaleRedexError
 from .formulas import dual, leading_run, modal_chain, size
 from .matrices import identity_gate, matmul, tensor
 from .proofs import (AxiomRule, CutRule, ParRule, Path, Proof, QRule, Sequent, TensorRule,
-                     children, path_str, rule_count)
+                     children, path_str, rule_count, with_child)
+from .trees import memo_fold
 
 Perm = tuple[int, ...]  # perm[old_pos - 1] = new_pos, 1-based
 
 
+@functools.cache
 def _identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
@@ -106,34 +125,37 @@ def _axiom_elim_perm(node: CutRule, side: str) -> Perm:
     return (node.j,) + tuple(_unskip(t, node.j) for t in range(1, nr + 1))
 
 
-def _cut_redex(node: CutRule, path: Path) -> Redex | None:
+def _cut_redex(node: CutRule) -> tuple[str, tuple] | None:
+    """The cut's own redex as (kind, data), or None."""
     L, R, i, j = node.left, node.right, node.i, node.j
-    sides = [s for s, prem in (("right", R), ("left", L)) if isinstance(prem, AxiomRule)]
-    if sides:
-        for s in sides:
-            if _axiom_elim_perm(node, s) == _identity(len(node.conclusion)):
-                return Redex("AxiomRed", path, (s,))
-        return Redex("AxiomRed", path, (sides[0],))
+    right_ax, left_ax = isinstance(R, AxiomRule), isinstance(L, AxiomRule)
+    if right_ax or left_ax:
+        # an axiom on the right, unless only the left one's elimination keeps
+        # every position (`_axiom_elim_perm` is the identity exactly when
+        # i is last on the left, or j first on the right)
+        if right_ax and not (left_ax and j == 1 and i != len(L.conclusion)):
+            return "AxiomRed", ("right",)
+        return "AxiomRed", ("left",)
     li, lj = len(L.conclusion), len(R.conclusion)
     if isinstance(L, TensorRule) and i == li and isinstance(R, ParRule) and j == lj:
-        return Redex("MultPrincipal", path, ("tensor_left",))
+        return "MultPrincipal", ("tensor_left",)
     if isinstance(L, ParRule) and i == li and isinstance(R, TensorRule) and j == lj:
-        return Redex("MultPrincipal", path, ("par_left",))
+        return "MultPrincipal", ("par_left",)
     if isinstance(L, QRule) and isinstance(R, QRule):
         if L.arity == R.arity:
             case = "A" if (i, j) == (2, 1) else "B"
-            return Redex("QuantumPrincipal", path, (case,))
+            return "QuantumPrincipal", (case,)
         return None
     if isinstance(R, ParRule) and j != lj:
-        return Redex("CommutePar", path, ("R",))
+        return "CommutePar", ("R",)
     if isinstance(R, TensorRule) and j != lj:
         part = "CommuteTensorLeft" if j <= len(R.left.conclusion) - 1 else "CommuteTensorRight"
-        return Redex(part, path, ("R",))
+        return part, ("R",)
     if isinstance(L, ParRule) and i != li:
-        return Redex("CommutePar", path, ("L",))
+        return "CommutePar", ("L",)
     if isinstance(L, TensorRule) and i != li:
         part = "CommuteTensorLeft" if i <= len(L.left.conclusion) - 1 else "CommuteTensorRight"
-        return Redex(part, path, ("L",))
+        return part, ("L",)
     return None
 
 
@@ -143,29 +165,80 @@ _FAMILY = {"EtaExpand": 0, "AxiomRed": 1, "QContract": 2, "MultPrincipal": 3,
 _SINGLE = {3, 4, 5}  # families whose firing can spawn higher-priority redexes
 
 
+class Summary(NamedTuple):
+    """What normalization needs to know of a subtree, memoized on its root node."""
+    rules: int  # rule instances
+    weight: int  # the termination measure, see `weight`
+    mult: int  # multiplicative rules
+    mask: int  # bit f is set iff the subtree holds a redex of family f
+    own: tuple | None  # the node's own redex as (family, kind, data)
+
+
+_QCONTRACT = (2, "QContract", ())
+
+
+def _bit(own: tuple | None) -> int:
+    return 0 if own is None else 1 << own[0]
+
+
+def _summarize(node: Proof, subs: list[Summary]) -> Summary:
+    t = type(node)
+    if t is AxiomRule:
+        kind, n, _ = leading_run(node.formula)
+        own = (0, "EtaExpand", (kind, n)) if n else None
+        return Summary(1, 2 * modal_chain(node.formula) + 1, 0, _bit(own), own)
+    if t is QRule:
+        (s,) = subs
+        own = _QCONTRACT if _root_contractible(node) else None
+        return Summary(s.rules + 1, s.weight + 1, s.mult, s.mask | _bit(own), own)
+    if t is ParRule:
+        (s,) = subs
+        return Summary(s.rules + 1, s.weight + 1, s.mult + 1, s.mask, None)
+    l, r = subs
+    if t is TensorRule:
+        return Summary(l.rules + r.rules + 1, l.weight + r.weight + 1, l.mult + r.mult + 1,
+                       l.mask | r.mask, None)
+    # a cut weighs its formula's size, scaled by the multiplicative rules above it
+    m = l.mult + r.mult
+    w = l.weight + r.weight + 3 ** size(node.cut_formula) * (1 + m)
+    red = _cut_redex(node)
+    own = None if red is None else (_FAMILY[red[0]],) + red
+    return Summary(l.rules + r.rules + 1, w, m, l.mask | r.mask | _bit(own), own)
+
+
+def summary(p: Proof) -> Summary:
+    """The memoized summary of p, filled in on every node that lacks one."""
+    return memo_fold(p, "summary", children, _summarize)
+
+
 def find_redexes(p: Proof) -> list[Redex]:
-    """Offered redexes of the highest-priority nonempty family, in post-order."""
-    families: list[list[Redex]] = [[] for _ in range(6)]
+    """Offered redexes of the highest-priority nonempty family, in post-order.
 
-    def walk(node: Proof, path: Path):
-        for k, c in enumerate(children(node)):
-            walk(c, path + (k,))
-        if isinstance(node, AxiomRule):
-            kind, n, _ = leading_run(node.formula)
-            if n >= 1:
-                families[0].append(Redex("EtaExpand", path, (kind, n)))
-        elif _root_contractible(node):
-            families[2].append(Redex("QContract", path))
-        elif isinstance(node, CutRule):
-            r = _cut_redex(node, path)
-            if r is not None:
-                families[_FAMILY[r.kind]].append(r)
-
-    walk(p, ())
-    for idx, fam in enumerate(families):
-        if fam:
-            return fam[:1] if idx in _SINGLE else fam
-    return []
+    The root's family mask names that family; the walk enters only the
+    subtrees whose mask holds it.
+    """
+    mask = summary(p).mask
+    if not mask:
+        return []
+    fam = (mask & -mask).bit_length() - 1
+    bit = 1 << fam
+    out: list[Redex] = []
+    stack: list[tuple[Proof, Path, bool]] = [(p, (), False)]
+    while stack:
+        node, path, expanded = stack.pop()
+        if expanded:
+            own = node.summary.own
+            if own is not None and own[0] == fam:
+                out.append(Redex(own[1], path, own[2]))
+                if fam in _SINGLE:
+                    break
+            continue
+        stack.append((node, path, True))
+        kids = children(node)
+        for k in range(len(kids) - 1, -1, -1):
+            if kids[k].summary.mask & bit:
+                stack.append((kids[k], path + (k,), False))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +432,7 @@ def _fire_commute(node: Proof, redex: Redex) -> tuple[Proof, Perm]:
 def _rebuild(node: Proof, k: int, new_child: Proof, sig: Perm) -> tuple[Proof, Perm]:
     total = len(node.conclusion)
     if sig == _identity(len(sig)):
-        kids = list(children(node))
-        kids[k] = new_child
-        return _replace_children(node, kids), _identity(total)
+        return with_child(node, k, new_child), _identity(total)
 
     if isinstance(node, CutRule):
         nl = len(node.left.conclusion) - 1
@@ -434,33 +505,27 @@ def _rebuild(node: Proof, k: int, new_child: Proof, sig: Perm) -> tuple[Proof, P
     raise ProofError(f"cannot rebuild above {type(node).__name__}")
 
 
-def _replace_children(node: Proof, kids: list[Proof]) -> Proof:
-    match node:
-        case CutRule(i, j, _, _):
-            return CutRule(i, j, kids[0], kids[1])
-        case ParRule(i, j, _):
-            return ParRule(i, j, kids[0])
-        case TensorRule(i, j, _, _):
-            return TensorRule(i, j, kids[0], kids[1])
-        case QRule(n, g, _, fl):
-            return QRule(n, g, kids[0], flip=fl)
-    raise ProofError(f"node has no children: {node!r}")
-
-
 def step(proof: Proof, redex: Redex) -> tuple[Proof, Perm]:
-    """Fire `redex`; returns the new proof and the root conclusion permutation."""
+    """Fire `redex`; returns the new proof and the root conclusion permutation.
 
-    def rewrite(node: Proof, d: int) -> tuple[Proof, Perm]:
-        if d == len(redex.path):
-            return _fire(node, redex)
-        k = redex.path[d]
+    Walks down the redex path, fires at its end, then rebuilds the spine
+    bottom-up. Every subtree off the spine is shared with `proof`, so
+    summarizing the result costs only the nodes this step built.
+    """
+    spine: list[Proof] = []
+    node = proof
+    for d, k in enumerate(redex.path):
         kids = children(node)
         if k >= len(kids):
             _stale(f"no child {k} at {path_str(redex.path[:d])}")
-        child2, sig = rewrite(kids[k], d + 1)
-        return _rebuild(node, k, child2, sig)
-
-    return rewrite(proof, 0)
+        spine.append(node)
+        node = kids[k]
+    new, sigma = _fire(node, redex)
+    summary(new)
+    for parent, k in zip(reversed(spine), reversed(redex.path)):
+        new, sigma = _rebuild(parent, k, new, sigma)
+        summary(new)
+    return new, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -475,40 +540,23 @@ def weight(p: Proof) -> int:
     cut formula's size scaled by the multiplicative rules above it (commuting
     steps pull one of those below the cut).
     """
-
-    def go(node: Proof) -> tuple[int, int]:
-        match node:
-            case AxiomRule(f):
-                return 2 * modal_chain(f) + 1, 0
-            case ParRule(_, _, s):
-                w, m = go(s)
-                return w + 1, m + 1
-            case TensorRule(_, _, l, r):
-                wl, ml = go(l)
-                wr, mr = go(r)
-                return wl + wr + 1, ml + mr + 1
-            case QRule(_, _, s, _):
-                w, m = go(s)
-                return w + 1, m
-            case CutRule(_, _, l, r):
-                wl, ml = go(l)
-                wr, mr = go(r)
-                f = node.cut_formula
-                return wl + wr + 3 ** size(f) * (1 + ml + mr), ml + mr
-        raise ProofError(f"not a proof node: {node!r}")
-
-    return go(p)[0]
+    return summary(p).weight
 
 
 def normalize(p: Proof, strategy: str = "leftmost-innermost", seed: int = 0,
               bound: int | None = None) -> ReductionTrace:
-    """Reduce to normal form; the result is cut-free and strategy-independent."""
+    """Reduce to normal form; the result is cut-free and strategy-independent.
+
+    Every step must strictly lower the weight, which is checked on each
+    one, so the weight of `p` bounds the number of steps; it is the default
+    `bound`. Exceeding the bound raises `MachineError`.
+    """
     if strategy not in ("leftmost-innermost", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed)
-    limit = bound if bound is not None else 2 ** rule_count(p)
     cur = p
     w_cur = weight(cur)
+    limit = bound if bound is not None else w_cur
     steps: list[TraceStep] = []
     perms: list[Perm] = []
     while True:

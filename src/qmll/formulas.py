@@ -9,38 +9,44 @@ Concrete grammar (whitespace insignificant):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import tokens as tk
 from .errors import FormulaSyntaxError, QmllError
+from .trees import memo_fold
 
 
 @dataclass(frozen=True)
 class Atom:
     name: str
     positive: bool = True
+    size_memo: int = field(init=False, repr=False, compare=False)  # see `size`
 
 
 @dataclass(frozen=True)
 class Par:
     left: "Formula"
     right: "Formula"
+    size_memo: int = field(init=False, repr=False, compare=False)  # see `size`
 
 
 @dataclass(frozen=True)
 class Tensor:
     left: "Formula"
     right: "Formula"
+    size_memo: int = field(init=False, repr=False, compare=False)  # see `size`
 
 
 @dataclass(frozen=True)
 class Box:
     body: "Formula"
+    size_memo: int = field(init=False, repr=False, compare=False)  # see `size`
 
 
 @dataclass(frozen=True)
 class Diamond:
     body: "Formula"
+    size_memo: int = field(init=False, repr=False, compare=False)  # see `size`
 
 
 Formula = Atom | Par | Tensor | Box | Diamond
@@ -62,15 +68,24 @@ def dual(f: Formula) -> Formula:
     raise QmllError(f"not a formula: {f!r}")
 
 
-def size(f: Formula) -> int:
-    match f:
-        case Atom():
-            return 1
-        case Par(l, r) | Tensor(l, r):
-            return 1 + size(l) + size(r)
-        case Box(b) | Diamond(b):
-            return 1 + size(b)
+def subformulas(f: Formula) -> tuple[Formula, ...]:
+    t = type(f)
+    if t is Atom:
+        return ()
+    if t is Par or t is Tensor:
+        return (f.left, f.right)
+    if t is Box or t is Diamond:
+        return (f.body,)
     raise QmllError(f"not a formula: {f!r}")
+
+
+def size(f: Formula) -> int:
+    """Atoms and connectives in f, memoized on every subformula.
+
+    Cut formulas are shared between a proof and its reducts, so the weight
+    of a rebuilt cut reads its formula's size instead of walking it.
+    """
+    return memo_fold(f, "size_memo", subformulas, lambda _, sizes: 1 + sum(sizes))
 
 
 def is_modal(f: Formula) -> bool:

@@ -25,6 +25,7 @@ where ROW is a bracket list of [re,im] pairs, row-major.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,7 @@ def _minus(seq: Sequent, *positions: int) -> Sequent:
 class AxiomRule:
     formula: Formula
     conclusion: Sequent = field(init=False)
+    summary: object = field(init=False, repr=False, compare=False)  # see cutelim.summary
 
     def __post_init__(self):
         object.__setattr__(self, "conclusion", (dual(self.formula), self.formula))
@@ -73,6 +75,7 @@ class CutRule:
     left: "Proof"
     right: "Proof"
     conclusion: Sequent = field(init=False)
+    summary: object = field(init=False, repr=False, compare=False)  # see cutelim.summary
 
     def __post_init__(self):
         msgs = _cut_violations(self.i, self.j, self.left.conclusion, self.right.conclusion)
@@ -92,6 +95,7 @@ class ParRule:
     j: int
     sub: "Proof"
     conclusion: Sequent = field(init=False)
+    summary: object = field(init=False, repr=False, compare=False)  # see cutelim.summary
 
     def __post_init__(self):
         msgs = _par_violations(self.i, self.j, self.sub.conclusion)
@@ -110,6 +114,7 @@ class TensorRule:
     left: "Proof"
     right: "Proof"
     conclusion: Sequent = field(init=False)
+    summary: object = field(init=False, repr=False, compare=False)  # see cutelim.summary
 
     def __post_init__(self):
         msgs = _tensor_violations(self.i, self.j, self.left.conclusion, self.right.conclusion)
@@ -129,6 +134,7 @@ class QRule:
     sub: "Proof"
     flip: bool = False
     conclusion: Sequent = field(init=False)
+    summary: object = field(init=False, repr=False, compare=False)  # see cutelim.summary
 
     def __post_init__(self):
         msgs = _qrule_violations(self.arity, self.gate, self.sub.conclusion)
@@ -206,14 +212,54 @@ def _qrule_violations(arity: int, gate: UnitaryMatrix, prem: Sequent) -> list[st
 
 
 def children(p: Proof) -> tuple[Proof, ...]:
-    match p:
-        case AxiomRule():
-            return ()
-        case CutRule(_, _, l, r) | TensorRule(_, _, l, r):
-            return (l, r)
-        case ParRule(_, _, s) | QRule(_, _, s):
-            return (s,)
+    t = type(p)
+    if t is CutRule or t is TensorRule:
+        return (p.left, p.right)
+    if t is ParRule or t is QRule:
+        return (p.sub,)
+    if t is AxiomRule:
+        return ()
     raise QmllError(f"not a proof node: {p!r}")
+
+
+_CHILD_FIELDS = {CutRule: ("left", "right"), TensorRule: ("left", "right"),
+                 ParRule: ("sub",), QRule: ("sub",)}
+
+
+def with_child(node: Proof, k: int, child: Proof) -> Proof:
+    """`node` with its child k replaced and its position arguments kept.
+
+    A rule's side conditions and conclusion read only its arguments and its
+    premises' conclusions. When `child` concludes the very same formula
+    objects as the child it replaces, the copy therefore keeps `node`'s
+    validated conclusion. Otherwise the constructor checks and derives it;
+    a derived conclusion equal to `node`'s is swapped for `node`'s own
+    formula objects, so that the rebuilt node's parent can be copied.
+    """
+    if type(node) not in _CHILD_FIELDS:
+        raise ProofError(f"node has no children: {node!r}")
+    name = _CHILD_FIELDS[type(node)][k]
+    old = getattr(node, name).conclusion
+    new = child.conclusion
+    if len(new) == len(old) and all(map(operator.is_, new, old)):
+        copy = object.__new__(type(node))
+        state = copy.__dict__
+        state.update(node.__dict__)
+        state.pop("summary", None)  # it describes the old subtree
+        state[name] = child
+        return copy
+    match node:
+        case CutRule(i, j, l, r):
+            rebuilt = CutRule(i, j, child, r) if k == 0 else CutRule(i, j, l, child)
+        case TensorRule(i, j, l, r):
+            rebuilt = TensorRule(i, j, child, r) if k == 0 else TensorRule(i, j, l, child)
+        case ParRule(i, j, _):
+            rebuilt = ParRule(i, j, child)
+        case QRule(n, g, _, fl):
+            rebuilt = QRule(n, g, child, flip=fl)
+    if rebuilt.conclusion == node.conclusion:
+        object.__setattr__(rebuilt, "conclusion", node.conclusion)
+    return rebuilt
 
 
 def node_at(p: Proof, path: Path) -> Proof:
@@ -236,7 +282,17 @@ def iter_nodes(p: Proof, path: Path = ()) -> list[tuple[Path, Proof]]:
 
 
 def rule_count(p: Proof) -> int:
-    return 1 + sum(rule_count(c) for c in children(p))
+    """Rule instances in p; subtrees that carry a summary give their memoized count."""
+    total, stack = 0, [p]
+    while stack:
+        node = stack.pop()
+        memo = getattr(node, "summary", None)
+        if memo is not None:
+            total += memo.rules
+        else:
+            total += 1
+            stack.extend(children(node))
+    return total
 
 
 def proofs_equal(p: Proof, q: Proof, gate_tol: float = 1e-9) -> bool:

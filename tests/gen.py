@@ -6,6 +6,7 @@ by a random.Random instance so corpora are reproducible.
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
@@ -26,6 +27,20 @@ def random_unitary(rng: random.Random, n: int) -> UnitaryMatrix:
     m = rs.normal(size=(dim, dim)) + 1j * rs.normal(size=(dim, dim))
     q, _ = np.linalg.qr(m)
     return UnitaryMatrix(q)
+
+
+def random_circuit(seed: int, qubits: int, gates: int) -> str:
+    """Circuit JSON: 70% one-qubit gates from H/X/Y/Z/S/T, 30% CNOT on a pair a<b."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(gates):
+        if rng.random() < 0.7:
+            out.append({"gate": rng.choice(["H", "X", "Y", "Z", "S", "T"]),
+                        "targets": [rng.randint(1, qubits)]})
+        else:
+            a, b = sorted(rng.sample(range(1, qubits + 1), 2))
+            out.append({"gate": "CNOT", "targets": [a, b]})
+    return json.dumps({"qubits": qubits, "gates": out})
 
 
 def random_gate(rng: random.Random, n: int) -> UnitaryMatrix:

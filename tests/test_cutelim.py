@@ -4,14 +4,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qmll import (check, find_redexes, normalize, parse_proof, print_proof, proofs_equal,
-                  step, weight)
-from qmll.cutelim import canonical_form, equal_modulo_representation
+from qmll import (circuit_from_json, check, encode, find_redexes, normalize, parse_proof,
+                  print_proof, proofs_equal, step, weight)
+from qmll.cutelim import Redex, _axiom_elim_perm, canonical_form, equal_modulo_representation
 from qmll.errors import StaleRedexError
-from qmll.matrices import approx_equal, gate_by_name
-from qmll.proofs import CutRule, QRule, iter_nodes
+from qmll.formulas import Atom, leading_run, modal_chain
+from qmll.matrices import approx_equal, gate_by_name, identity_gate
+from qmll.proofs import (AxiomRule, CutRule, ParRule, QRule, TensorRule, children, iter_nodes,
+                         rule_count)
 
-from gen import random_corpus
+from gen import random_circuit, random_corpus
 
 FIG4 = ("(cut 2 1 (cut 2 1 (q 1 I1 (q 1 H (ax a))) (q 1 X (q 1 Z (ax a)))) "
         "(q 2 CNOT (ax a)))")
@@ -195,3 +197,155 @@ def test_trace_reports_weights():
     lines = trace_lines(tr)
     assert len(lines) == len(tr.steps)
     assert all("->" in ln for ln in lines)
+
+
+# ---------------------------------------------------------------------------
+# the default step bound, deep proofs, and the memoized summaries
+
+
+def test_default_bound_is_the_weight():
+    # 2**rule_count allowed 2 and 8 steps here; the weight allows enough
+    assert len(normalize(parse_proof("(ax <> [] <> b)")).steps) == 3
+    p = parse_proof("(cut 2 2 (ax [] <> [] ~a) (ax <> [] <> a))")
+    assert len(normalize(p).steps) == 10
+
+
+def test_walks_do_not_recurse_on_a_deep_proof():
+    a = Atom("a")
+    p = CutRule(2, 1, AxiomRule(a), AxiomRule(a))
+    for _ in range(3000):
+        p = QRule(1, identity_gate(1), p, flip=True)
+    assert rule_count(p) == 3003
+    assert weight(p) == 3000 + (1 + 1 + 3)
+    (r,) = find_redexes(p)
+    assert (r.kind, r.path, r.data) == ("AxiomRed", (0,) * 3000, ("right",))
+    new, sigma = step(p, r)
+    assert sigma == (1, 2)
+    assert rule_count(new) == 3001 and weight(new) == 3001
+    assert find_redexes(new) == []
+
+
+# The recursive walks normalize made before the summaries were memoized,
+# kept as the reference the memoized ones must agree with.
+
+def ref_rule_count(p):
+    return 1 + sum(ref_rule_count(c) for c in children(p))
+
+
+def ref_weight(p):
+    def go(node):
+        match node:
+            case AxiomRule(f):
+                return 2 * modal_chain(f) + 1, 0
+            case ParRule(_, _, s):
+                w, m = go(s)
+                return w + 1, m + 1
+            case TensorRule(_, _, l, r):
+                wl, ml = go(l)
+                wr, mr = go(r)
+                return wl + wr + 1, ml + mr + 1
+            case QRule(_, _, s, _):
+                w, m = go(s)
+                return w + 1, m
+            case CutRule(_, _, l, r):
+                wl, ml = go(l)
+                wr, mr = go(r)
+                return wl + wr + 3 ** ref_size(node.cut_formula) * (1 + ml + mr), ml + mr
+
+    return go(p)[0]
+
+
+def ref_size(f):
+    return 1 + sum(ref_size(g) for g in (getattr(f, k, None) for k in ("left", "right", "body"))
+                   if g is not None)
+
+
+def ref_cut_redex(node, path):
+    L, R, i, j = node.left, node.right, node.i, node.j
+    sides = [s for s, prem in (("right", R), ("left", L)) if isinstance(prem, AxiomRule)]
+    if sides:
+        for s in sides:
+            if _axiom_elim_perm(node, s) == tuple(range(1, len(node.conclusion) + 1)):
+                return Redex("AxiomRed", path, (s,))
+        return Redex("AxiomRed", path, (sides[0],))
+    li, lj = len(L.conclusion), len(R.conclusion)
+    if isinstance(L, TensorRule) and i == li and isinstance(R, ParRule) and j == lj:
+        return Redex("MultPrincipal", path, ("tensor_left",))
+    if isinstance(L, ParRule) and i == li and isinstance(R, TensorRule) and j == lj:
+        return Redex("MultPrincipal", path, ("par_left",))
+    if isinstance(L, QRule) and isinstance(R, QRule):
+        if L.arity == R.arity:
+            return Redex("QuantumPrincipal", path, ("A" if (i, j) == (2, 1) else "B",))
+        return None
+    if isinstance(R, ParRule) and j != lj:
+        return Redex("CommutePar", path, ("R",))
+    if isinstance(R, TensorRule) and j != lj:
+        part = "CommuteTensorLeft" if j <= len(R.left.conclusion) - 1 else "CommuteTensorRight"
+        return Redex(part, path, ("R",))
+    if isinstance(L, ParRule) and i != li:
+        return Redex("CommutePar", path, ("L",))
+    if isinstance(L, TensorRule) and i != li:
+        part = "CommuteTensorLeft" if i <= len(L.left.conclusion) - 1 else "CommuteTensorRight"
+        return Redex(part, path, ("L",))
+    return None
+
+
+REF_FAMILY = {"EtaExpand": 0, "AxiomRed": 1, "QContract": 2, "MultPrincipal": 3,
+              "QuantumPrincipal": 4, "CommutePar": 5, "CommuteTensorLeft": 5,
+              "CommuteTensorRight": 5}
+
+
+def ref_find_redexes(p):
+    families = [[] for _ in range(6)]
+
+    def walk(node, path):
+        for k, c in enumerate(children(node)):
+            walk(c, path + (k,))
+        if isinstance(node, AxiomRule):
+            kind, n, _ = leading_run(node.formula)
+            if n >= 1:
+                families[0].append(Redex("EtaExpand", path, (kind, n)))
+        elif isinstance(node, QRule) and not node.flip and isinstance(node.sub, QRule):
+            families[2].append(Redex("QContract", path))
+        elif isinstance(node, CutRule):
+            r = ref_cut_redex(node, path)
+            if r is not None:
+                families[REF_FAMILY[r.kind]].append(r)
+
+    walk(p, ())
+    for idx, fam in enumerate(families):
+        if fam:
+            return fam[:1] if idx >= 3 else fam
+    return []
+
+
+def assert_summaries_match_fresh_walks(p, strategy, seed=0):
+    """Along normalize's own reduction, every proof's memoized values equal fresh walks."""
+    rng = random.Random(seed)
+    cur, fired = p, []
+    while True:
+        assert rule_count(cur) == ref_rule_count(cur)
+        assert weight(cur) == ref_weight(cur)
+        redexes = find_redexes(cur)
+        assert redexes == ref_find_redexes(cur)
+        if not redexes:
+            break
+        r = redexes[0] if strategy == "leftmost-innermost" else rng.choice(redexes)
+        fired.append(r)
+        cur, _ = step(cur, r)
+    trace = normalize(p, strategy=strategy, seed=seed)
+    assert [s.redex for s in trace.steps] == fired
+    assert print_proof(trace.final) == print_proof(cur)
+
+
+def test_memoized_summaries_match_fresh_walks_on_corpus():
+    for idx, p in enumerate(random_corpus(20260811, 300)):
+        assert_summaries_match_fresh_walks(p, "leftmost-innermost")
+        assert_summaries_match_fresh_walks(p, "random", seed=idx)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_memoized_summaries_match_fresh_walks_on_circuits(seed):
+    p = encode(circuit_from_json(random_circuit(seed, 3, 120)))
+    assert_summaries_match_fresh_walks(p, "leftmost-innermost")
+    assert_summaries_match_fresh_walks(p, "random", seed=seed)

@@ -1,0 +1,37 @@
+"""`qmll normalize --trace` output, byte for byte, on two seeded circuits.
+
+The files under `golden/` were recorded with the recursive, unmemoized
+normalizer; the memoized one must reproduce every trace line and every
+character of the normal form.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qmll.cli import main
+
+from gen import random_circuit
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = {  # name -> (seed, qubits, gates)
+    "deep-3q-120g": (7001, 3, 120),
+    "wide-7q-30g": (7002, 7, 30),
+}
+
+
+def normalize_outputs(tmp_path: Path, capsys, name: str) -> tuple[str, str]:
+    """The stderr trace and the normal-form text of `qmll normalize --trace`."""
+    circuit, proof, nf = (tmp_path / f"{name}.{ext}" for ext in ("json", "proof", "nf"))
+    circuit.write_text(random_circuit(*CASES[name]))
+    assert main(["encode", str(circuit), "-o", str(proof)]) == 0
+    capsys.readouterr()
+    assert main(["normalize", str(proof), "--trace", "-o", str(nf)]) == 0
+    return capsys.readouterr().err, nf.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_normalize_trace_and_normal_form_match_golden(tmp_path, capsys, name):
+    trace, nf = normalize_outputs(tmp_path, capsys, name)
+    assert trace == (GOLDEN / f"{name}.trace").read_text()
+    assert nf == (GOLDEN / f"{name}.nf").read_text()

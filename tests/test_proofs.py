@@ -5,9 +5,9 @@ import pytest
 
 from qmll import (CheckFailure, PreconditionError, check, mll_axiom_link_matrix, parse_formula,
                   parse_proof, principal_formulas, print_proof, proofs_equal)
-from qmll.errors import ProofSyntaxError
-from qmll.proofs import (AxiomRule, ParRule, QRule, TensorRule, iter_nodes, premise_source,
-                         principal_positions, print_sequent)
+from qmll.errors import ProofError, ProofSyntaxError
+from qmll.proofs import (AxiomRule, CutRule, ParRule, QRule, TensorRule, iter_nodes,
+                         premise_source, principal_positions, print_sequent, with_child)
 
 from gen import random_corpus
 
@@ -202,3 +202,23 @@ def test_link_matrix_preconditions():
         mll_axiom_link_matrix(parse_proof("(q 1 H (ax a))"))
     with pytest.raises(PreconditionError):
         mll_axiom_link_matrix(parse_proof("(ax (a % b))"))
+
+
+def test_with_child_copies_only_above_identical_premise_formulas():
+    p = parse_proof("(par 1 2 (tensor 1 1 (ax a) (ax b)))")
+    same = with_child(p.sub, 0, p.sub.left)  # a copy concluding the very same objects
+    assert same is not p.sub and same.conclusion is p.sub.conclusion
+    q = with_child(p, 0, same)
+    assert q.sub is same and q.conclusion is p.conclusion
+    # equal formulas in other objects: rebuilt and checked, then the old objects kept
+    r = with_child(p, 0, parse_proof("(tensor 1 1 (ax a) (ax b))"))
+    assert r.conclusion is p.conclusion
+    other = with_child(p, 0, parse_proof("(tensor 1 1 (ax b) (ax a))"))
+    assert print_sequent(other.conclusion) == "(~b * ~a), (b % a)"
+
+
+def test_with_child_checks_a_changed_premise():
+    p = parse_proof("(cut 2 1 (ax a) (ax a))")
+    with pytest.raises(ProofError):
+        with_child(p, 1, AxiomRule(parse_formula("b")))
+    assert isinstance(with_child(p, 1, AxiomRule(parse_formula("a"))), CutRule)

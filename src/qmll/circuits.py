@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError, QmllError
 from .formulas import Atom, Context, depth
-from .matrices import (StateVector, UnitaryMatrix, approx_equal, f17, gate_by_name,
-                       identity_gate, max_qubits)
+from .matrices import (StateVector, UnitaryMatrix, approx_equal, gate_by_name, identity_gate,
+                       max_qubits, render_rows)
 from .proofs import AxiomRule, CutRule, Proof, QRule
 from .qiam import extract_gate_sequence
 
@@ -231,8 +231,6 @@ def circuit_to_json(circuit: Circuit) -> str:
         if u.name is not None:
             parts.append(f'{{"gate":"{u.name}","targets":{tgt}}}')
         else:
-            rows = ",".join(
-                "[" + ",".join(f"[{f17(z.real)},{f17(z.imag)}]" for z in row) + "]"
-                for row in u.data)
+            rows = ",".join(render_rows(u.data))
             parts.append(f'{{"matrix":[{rows}],"targets":{tgt}}}')
     return f'{{"qubits":{circuit.n_qubits},"gates":[{",".join(parts)}]}}'

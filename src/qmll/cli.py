@@ -17,7 +17,7 @@ from .cutelim import normalize, trace_lines
 from .errors import CheckFailure, QmllError, SyntaxLocationError
 from .formulas import (BOX_S, DIA_S, PAR_L, PAR_R, TENS_L, TENS_R, Atom, Box, Context,
                        Diamond, Par, Tensor, contexts_for, hole_atom, print_formula)
-from .matrices import StateVector, basis_state, f17, zero_state
+from .matrices import StateVector, basis_state, render_rows, zero_state
 from .proofs import Proof, check, mll_axiom_link_matrix, parse_proof, print_proof, print_sequent
 from .qiam import OccurrenceGraph, initial_state, run, semantics_relative
 
@@ -35,12 +35,6 @@ def _write(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-
-
-def _matrix_json(m: np.ndarray) -> str:
-    rows = ",".join(
-        "[" + ",".join(f"[{f17(z.real)},{f17(z.imag)}]" for z in row) + "]" for row in m)
-    return f"[{rows}]"
 
 
 def _resolve_entry(proof: Proof, context_arg: str | None, entry_arg: int | None):
@@ -145,9 +139,8 @@ def _cmd_run(args) -> int:
     if args.trace_machine:
         for line in result.trace:
             print(line, file=sys.stderr)
-    amps = ",".join(f"[{f17(z.real)},{f17(z.imag)}]"
-                    for z in result.final.register.amplitudes)
-    _write(f'{{"exit":{result.final.pos},"state":[{amps}]}}', args.output)
+    [amps] = render_rows(result.final.register.amplitudes)
+    _write(f'{{"exit":{result.final.pos},"state":{amps}}}', args.output)
     return 0
 
 
@@ -157,7 +150,7 @@ def _cmd_semantics(args) -> int:
     res = semantics_relative(proof, k, ctx)
     body = (f'{{"entry":{res.entry_pos},"exit":{res.exit_pos},'
             f'"dim_qubits":{res.unitary.dim_qubits},'
-            f'"matrix":{_matrix_json(res.unitary.data)}}}')
+            f'"matrix":[{",".join(render_rows(res.unitary.data))}]}}')
     _write(body, args.output)
     return 0
 

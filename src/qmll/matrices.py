@@ -171,3 +171,14 @@ def gate_names() -> list[str]:
 def f17(x: float) -> str:
     """Render a double with 17 significant digits (lossless round trip)."""
     return format(float(x), ".17g")
+
+
+def render_rows(a: np.ndarray) -> list[str]:
+    """Each row of a complex matrix, or a vector as one row, as `[[re,im],...]` in f17."""
+    parts = np.ascontiguousarray(a, dtype=complex).view(np.float64).tolist()
+    return [_render_row(parts)] if a.ndim == 1 else [_render_row(row) for row in parts]
+
+
+def _render_row(parts: list[float]) -> str:
+    pairs = iter(parts)
+    return "[" + ",".join(f"[{f17(re)},{f17(im)}]" for re, im in zip(pairs, pairs)) + "]"

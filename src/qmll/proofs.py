@@ -34,7 +34,7 @@ from . import tokens as tk
 from .errors import CheckFailure, PreconditionError, ProofError, ProofSyntaxError, QmllError
 from .formulas import (Atom, Box, Diamond, Formula, dual, is_modal, parse_formula_stream,
                        print_formula, wrap_modal)
-from .matrices import UnitaryMatrix, f17, gate_by_name
+from .matrices import UnitaryMatrix, gate_by_name, render_rows
 
 Sequent = tuple[Formula, ...]
 Path = tuple[int, ...]
@@ -491,37 +491,36 @@ def _parse_gate(ts: tk.TokenStream) -> UnitaryMatrix:
         if kw.text != "mat":
             raise ProofSyntaxError(f"expected 'mat', found {kw.text!r}", kw.pos)
         rows = []
-        while ts.peek().kind == tk.LB:
-            rows.append(_parse_row(ts))
+        while ts.peek().kind == tk.ROW:
+            rows.append(ts.next().text)
         ts.expect(tk.RP, ProofSyntaxError)
         if not rows:
             raise ProofSyntaxError("empty matrix literal", t.pos)
+        data = _literal_data(rows, t.pos)
         try:
-            return UnitaryMatrix(np.array(rows, dtype=complex))
+            return UnitaryMatrix(data)
         except QmllError as e:
             raise ProofSyntaxError(f"bad matrix literal: {e}", t.pos) from e
     raise ProofSyntaxError(f"expected a gate, found {t.text!r}", t.pos)
 
 
-def _parse_row(ts: tk.TokenStream) -> list[complex]:
-    ts.expect(tk.LB, ProofSyntaxError)
-    row: list[complex] = []
-    while True:
-        row.append(_parse_entry(ts))
-        t = ts.next()
-        if t.kind == tk.RB:
-            return row
-        if t.kind != tk.COMMA:
-            raise ProofSyntaxError(f"expected ',' or ']', found {t.text!r}", t.pos)
+_ROW_PUNCT = str.maketrans("[],", "   ")
 
 
-def _parse_entry(ts: tk.TokenStream) -> complex:
-    ts.expect(tk.LB, ProofSyntaxError)
-    re = float(ts.expect(tk.NUMBER, ProofSyntaxError).text)
-    ts.expect(tk.COMMA, ProofSyntaxError)
-    im = float(ts.expect(tk.NUMBER, ProofSyntaxError).text)
-    ts.expect(tk.RB, ProofSyntaxError)
-    return complex(re, im)
+def _literal_data(rows: list[str], pos: int) -> np.ndarray:
+    """The matrix spelled by ROW token texts; entries are bit for bit `complex(re, im)`.
+
+    The tokenizer has checked each row's shape, so its numbers are the words
+    left when brackets and commas are read as spaces.
+    """
+    nums = [row.translate(_ROW_PUNCT).split() for row in rows]
+    width = len(nums[0])
+    for k, row in enumerate(nums[1:], start=2):
+        if len(row) != width:
+            raise ProofSyntaxError(f"ragged matrix literal: row {k} has {len(row) // 2} "
+                                   f"entries, row 1 has {width // 2}", pos)
+    flat = np.array([float(x) for row in nums for x in row])
+    return flat.view(complex).reshape(len(rows), width // 2)
 
 
 def _parse_position(ts: tk.TokenStream) -> int:
@@ -606,10 +605,7 @@ def parse_proof(text: str) -> Proof:
 def print_gate(g: UnitaryMatrix) -> str:
     if g.name is not None:
         return g.name
-    rows = []
-    for row in g.data:
-        rows.append("[" + ",".join(f"[{f17(z.real)},{f17(z.imag)}]" for z in row) + "]")
-    return "(mat " + " ".join(rows) + ")"
+    return "(mat " + " ".join(render_rows(g.data)) + ")"
 
 
 def print_proof(p: Proof) -> str:

@@ -1,19 +1,26 @@
 """Tokenizer shared by the formula and proof parsers.
 
 Single-character punctuation plus the two-character modal markers `[]`
-and `<>`. `[` only opens a bracket list when not immediately closed, so
-matrix literals and the box marker coexist.
+and `<>`. Any other `[` must start a whole matrix-literal row
+`[[re,im],...,[re,im]]`, which is one ROW token; a `[` that does not is a
+syntax error at its offset.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import SyntaxLocationError
 
-LP, RP, LB, RB, COMMA = "(", ")", "[", "]", ","
+LP, RP, RB, COMMA = "(", ")", "]", ","
 BOX, DIAMOND, TILDE, PERCENT, STAR = "[]", "<>", "~", "%", "*"
-IDENT, NUMBER, EOF = "ident", "number", "eof"
+IDENT, NUMBER, ROW, EOF = "ident", "number", "row", "eof"
+
+# A number inside a row: exactly the spellings of NUMBER that float() reads.
+_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_ENTRY = rf"\[\s*{_NUMBER}\s*,\s*{_NUMBER}\s*\]"
+_ROW = re.compile(rf"\[\s*{_ENTRY}(?:\s*,\s*{_ENTRY})*\s*\]")
 
 _PUNCT = {"(": LP, ")": RP, "]": RB, ",": COMMA, "~": TILDE, "%": PERCENT, "*": STAR}
 
@@ -41,8 +48,12 @@ def tokenize(text: str) -> list[Token]:
                 toks.append(Token(BOX, "[]", i))
                 i += 2
             else:
-                toks.append(Token(LB, "[", i))
-                i += 1
+                m = _ROW.match(text, i)
+                if m is None:
+                    raise SyntaxLocationError(
+                        "malformed matrix row: expected [[re,im],...,[re,im]]", i)
+                toks.append(Token(ROW, m.group(), i))
+                i = m.end()
         elif c == "<":
             if i + 1 < n and text[i + 1] == ">":
                 toks.append(Token(DIAMOND, "<>", i))

@@ -2,14 +2,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmll import (CheckFailure, PreconditionError, check, mll_axiom_link_matrix, parse_formula,
                   parse_proof, principal_formulas, print_proof, proofs_equal)
-from qmll.errors import ProofError, ProofSyntaxError
-from qmll.proofs import (AxiomRule, CutRule, ParRule, QRule, TensorRule, iter_nodes,
-                         premise_source, principal_positions, print_sequent, with_child)
+from qmll.cli import main
+from qmll.errors import ProofError, ProofSyntaxError, SyntaxLocationError
+from qmll.matrices import f17
+from qmll.proofs import (AxiomRule, CutRule, ParRule, QRule, TensorRule, _literal_data,
+                         iter_nodes, premise_source, principal_positions, print_sequent,
+                         with_child)
+from qmll.tokens import ROW, Token, tokenize
 
-from gen import random_corpus
+from gen import random_circuit, random_corpus
 
 FIG4 = ("(cut 2 1 (cut 2 1 (q 1 I1 (q 1 H (ax a))) (q 1 X (q 1 Z (ax a)))) "
         "(q 2 CNOT (ax a)))")
@@ -222,3 +227,226 @@ def test_with_child_checks_a_changed_premise():
     with pytest.raises(ProofError):
         with_child(p, 1, AxiomRule(parse_formula("b")))
     assert isinstance(with_child(p, 1, AxiomRule(parse_formula("a"))), CutRule)
+
+
+# --- matrix-literal rows: one ROW token per row ---------------------------
+#
+# `_old_tokenize` and `_old_parse_row` are copies of the character-loop
+# tokenizer and the entry parser that read literals one bracket, number and
+# comma at a time before rows became single tokens. They are the reference
+# the ROW path must agree with.
+
+
+def _old_tokenize(text):
+    punct = {"(": "(", ")": ")", "]": "]", ",": ",", "~": "~", "%": "%", "*": "*"}
+    toks, i, n = [], 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in punct:
+            toks.append(Token(punct[c], c, i))
+            i += 1
+        elif c == "[":
+            if i + 1 < n and text[i + 1] == "]":
+                toks.append(Token("[]", "[]", i))
+                i += 2
+            else:
+                toks.append(Token("[", "[", i))
+                i += 1
+        elif c == "<":
+            if i + 1 < n and text[i + 1] == ">":
+                toks.append(Token("<>", "<>", i))
+                i += 2
+            else:
+                raise SyntaxLocationError("expected '>' after '<'", i)
+        elif c.isdigit() or (c in "+-" and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")) or c == ".":
+            j = i
+            if text[j] in "+-":
+                j += 1
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            if j < n and text[j] in "eE":
+                j += 1
+                if j < n and text[j] in "+-":
+                    j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            toks.append(Token("number", text[i:j], i))
+            i = j
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(Token("ident", text[i:j], i))
+            i = j
+        else:
+            raise SyntaxLocationError(f"unexpected character {c!r}", i)
+    toks.append(Token("eof", "", n))
+    return toks
+
+
+def _old_parse_row(toks, k):
+    """One row starting at toks[k]: its entries and the index after it."""
+    def expect(kind):
+        nonlocal k
+        t = toks[k]
+        if t.kind != kind:
+            raise SyntaxLocationError(f"expected {kind!r}, found {t.text!r}", t.pos)
+        k += 1
+        return t
+
+    expect("[")
+    row = []
+    while True:
+        expect("[")
+        re_part = float(expect("number").text)
+        expect(",")
+        im_part = float(expect("number").text)
+        expect("]")
+        row.append(complex(re_part, im_part))
+        t = toks[k]
+        k += 1
+        if t.kind == "]":
+            return row, k
+        if t.kind != ",":
+            raise SyntaxLocationError(f"expected ',' or ']', found {t.text!r}", t.pos)
+
+
+def _old_scan(text):
+    """Old tokens outside rows, the offsets of rows, and each literal's matrix."""
+    toks = _old_tokenize(text)
+    rest, row_offsets, literals, after_mat, k = [], [], [], False, 0
+    while k < len(toks):
+        t = toks[k]
+        if t.kind == "[":
+            if after_mat or not literals:
+                literals.append([])
+            row_offsets.append(t.pos)
+            row, k = _old_parse_row(toks, k)
+            literals[-1].append(row)
+            after_mat = False
+        else:
+            rest.append((t.kind, t.text, t.pos))
+            after_mat = t.text == "mat"
+            k += 1
+    return rest, row_offsets, [np.array(rows, dtype=complex) for rows in literals]
+
+
+def _literal_gates(p):
+    """The `(mat ...)` gates of p in text order (pre-order, left to right)."""
+    out, stack = [], [p]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, QRule) and node.gate.name is None:
+            out.append(node.gate.data)
+        stack.extend(reversed(_children(node)))
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+SPELLED = [  # literals whose spellings print_proof never writes
+    "(q 1 (mat [[-0,0],[1,-0.0]] [[1e0,+0],[-0e5,0.]]) (ax a))",
+    "(q 1 (mat [[.6,.8],[0,0]] [[0,0],[6E-1,+8.0e-1]]) (ax b))",
+    "(q 1 (mat [ [ 0 , 0 ] ,\n\t[ 1 , 0 ] ] [[1,0] ,[0,0]]) (ax a))",
+]
+
+
+def _literal_texts():
+    from test_golden import CASES, GOLDEN
+    from qmll.circuits import circuit_from_json, encode
+    texts = [print_proof(p) for p in random_corpus(20260811, 1000)]
+    texts += [print_proof(encode(circuit_from_json(random_circuit(*CASES[name]))))
+              for name in sorted(CASES)]
+    texts += [(GOLDEN / f"{name}.nf").read_text().strip() for name in sorted(CASES)]
+    return texts
+
+
+def test_row_tokens_match_the_character_loop():
+    texts = _literal_texts()
+    assert sum("(mat" in t for t in texts) > 50
+    # the same literals with whitespace wherever the grammar allows it
+    spaced = [t.replace(",", " ,\n ").replace("[[", "[ \t[") for t in texts if "(mat" in t]
+    for text in texts + spaced + SPELLED:
+        rest, row_offsets, literals = _old_scan(text)
+        toks = tokenize(text)
+        assert [(t.kind, t.text, t.pos) for t in toks if t.kind != ROW] == rest
+        assert [t.pos for t in toks if t.kind == ROW] == row_offsets
+        p = parse_proof(text)
+        gates = _literal_gates(p)
+        assert len(gates) == len(literals)
+        assert all(_same_bits(g, old) for g, old in zip(gates, literals))
+    for text in texts:
+        assert print_proof(parse_proof(text)) == text
+
+
+_DIGITS = "0123456789٣７"  # with an Arabic-Indic and a full-width digit
+_spellings = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(f17),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(lambda sign, whole, frac, exp: sign + whole + frac + exp,
+              st.sampled_from(["", "+", "-"]),
+              st.text(_DIGITS, max_size=5),
+              st.one_of(st.just(""), st.just("."), st.text(_DIGITS, min_size=1, max_size=5)
+                        .map(lambda d: "." + d)),
+              st.one_of(st.just(""), st.builds(lambda e, s, d: e + s + d,
+                                                st.sampled_from("eE"),
+                                                st.sampled_from(["", "+", "-"]),
+                                                st.text(_DIGITS, min_size=1, max_size=3)))),
+).filter(lambda s: any(c.isdigit() for c in s.split("e")[0].split("E")[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spellings, _spellings)
+def test_row_numbers_are_the_bits_of_float(re_text, im_text):
+    toks = tokenize(f"[[{re_text},{im_text}]]")
+    assert [t.kind for t in toks] == [ROW, "eof"]
+    z = _literal_data([toks[0].text], 0)[0, 0]
+    assert _same_bits(np.array([z.real, z.imag]), np.array([float(re_text), float(im_text)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("0123456789.eE+-٣", min_size=1, max_size=10))
+def test_rows_accept_exactly_what_the_character_loop_parsed(entry):
+    text = f"[[{entry},0]]"
+    try:
+        [old] = _old_scan(text)[2]
+    except (SyntaxLocationError, ValueError):
+        old = None
+    try:
+        new = _literal_data([tokenize(text)[0].text], 0)
+    except SyntaxLocationError as e:
+        assert e.pos == 0
+        new = None
+    assert (old is None) == (new is None)
+    if new is not None:
+        assert _same_bits(new, old)
+
+
+def test_ragged_literal_is_a_syntax_error_at_the_literal():
+    with pytest.raises(ProofSyntaxError) as e:
+        parse_proof("(q 1 (mat [[1,0],[0,0]] [[0,0],[1,0],[0,0]]) (ax a))")
+    assert e.value.pos == 5 and "ragged" in str(e.value)
+
+
+@pytest.mark.parametrize("literal, offset", [
+    ("[[1.2.3,0],[1,0]] [[1,0],[0,0]]", 10),  # a number float() cannot read
+    ("[[.,0],[1,0]] [[1,0],[0,0]]", 10),
+    ("[[1,0],[0,0]] [[0,0],[1,0],[0,0]]", 5),  # ragged rows
+    ("[[1,0] [0,0]] [[0,0],[1,0]]", 10),  # no comma between entries
+    ("[ ] [[0,0],[1,0]]", 10),
+    ("[[1,0],] [[0,0],[1,0]]", 10),
+    ("[[1,0,0]]", 10),
+    ("[[0,0],[1,0]] [[1,0],[0,0]", 24),  # unclosed row
+])
+def test_malformed_literal_exits_2(tmp_path, capsys, literal, offset):
+    proof = tmp_path / "bad.proof"
+    proof.write_text(f"(q 1 (mat {literal}) (ax a))")
+    assert main(["check", str(proof)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("syntax error: ") and err.count("\n") == 1
+    assert err.endswith(f"(at offset {offset})\n")

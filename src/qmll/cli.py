@@ -15,11 +15,10 @@ import numpy as np
 from .circuits import circuit_from_json, circuit_to_json, encode, extract
 from .cutelim import normalize, trace_lines
 from .errors import CheckFailure, QmllError, SyntaxLocationError
-from .formulas import (BOX_S, DIA_S, PAR_L, PAR_R, TENS_L, TENS_R, Atom, Box, Context,
-                       Diamond, Par, Tensor, contexts_for, hole_atom, print_formula)
+from .formulas import context_along, depth
 from .matrices import StateVector, basis_state, render_rows, zero_state
 from .proofs import Proof, check, mll_axiom_link_matrix, parse_proof, print_proof, print_sequent
-from .qiam import OccurrenceGraph, initial_state, run, semantics_relative
+from .qiam import OccurrenceGraph, initial_state, negative_entries, run, semantics_relative
 
 
 def _read(path: str) -> str:
@@ -40,13 +39,8 @@ def _write(text: str, out: str | None) -> None:
 def _resolve_entry(proof: Proof, context_arg: str | None, entry_arg: int | None):
     concl = proof.conclusion
     if context_arg is None or context_arg == "auto":
-        candidates = []
-        for k, f in enumerate(concl, start=1):
-            if entry_arg is not None and k != entry_arg:
-                continue
-            for ctx, positive in contexts_for(f):
-                if not positive:
-                    candidates.append((k, ctx))
+        candidates = [(k, ctx) for k, ctx in negative_entries(proof)
+                      if entry_arg is None or k == entry_arg]
         if len(candidates) != 1:
             raise QmllError(
                 f"--context auto needs exactly one negative context, found {len(candidates)}")
@@ -60,40 +54,7 @@ def _resolve_entry(proof: Proof, context_arg: str | None, entry_arg: int | None)
         raise QmllError(f"formula index {k} out of range")
     if entry_arg is not None and entry_arg != k:
         raise QmllError(f"--entry {entry_arg} conflicts with context path index {k}")
-    f = concl[k - 1]
-    steps = []
-    for seg in parts[1:]:
-        if seg == "L":
-            match f:
-                case Par(l, r):
-                    steps.append((PAR_L, r))
-                    f = l
-                case Tensor(l, r):
-                    steps.append((TENS_L, r))
-                    f = l
-                case Box(b):
-                    steps.append((BOX_S, None))
-                    f = b
-                case Diamond(b):
-                    steps.append((DIA_S, None))
-                    f = b
-                case _:
-                    raise QmllError("context path descends below an atom")
-        elif seg == "R":
-            match f:
-                case Par(l, r):
-                    steps.append((PAR_R, l))
-                    f = r
-                case Tensor(l, r):
-                    steps.append((TENS_R, l))
-                    f = r
-                case _:
-                    raise QmllError("'R' only descends binary connectives")
-        else:
-            raise QmllError(f"bad context path segment {seg!r} (use L or R)")
-    if not isinstance(f, Atom):
-        raise QmllError("context path must end at an atom")
-    return k, Context(tuple(steps))
+    return k, context_along(concl[k - 1], parts[1:])
 
 
 def _parse_state(arg: str | None, n: int) -> StateVector:
@@ -131,8 +92,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_run(args) -> int:
     proof = parse_proof(_read(args.proof))
     k, ctx = _resolve_entry(proof, args.context, args.entry)
-    from .formulas import depth as ctx_depth
-    register = _parse_state(args.input, ctx_depth(ctx))
+    register = _parse_state(args.input, depth(ctx))
     graph = OccurrenceGraph(proof)
     start = initial_state(graph, k, ctx, register)
     result = run(graph, start, collect_trace=args.trace_machine)

@@ -9,7 +9,9 @@ Sequents are ordered, so a step may permute the rewritten node's conclusion
 (the multiset never changes). `step` returns the permutation of the root
 conclusion; ancestors absorb child permutations by remapping their position
 arguments, and a quantum rule absorbs a swapped premise by toggling its
-`flip` orientation, which leaves its own conclusion untouched.
+`flip` orientation, which leaves its own conclusion untouched. Every
+permutation and every remapped argument is derived by following occurrences
+through `proofs.premise_source` and `proofs.conclusion_position`.
 
 Redex enumeration is deliberately narrow where overlapping choices would
 break one-step confluence. Redexes are grouped into families with a fixed
@@ -45,10 +47,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import MachineError, ProofError, StaleRedexError
-from .formulas import dual, leading_run, modal_chain, size
+from .formulas import dual, leading_run, modal_chain, print_formula, size
 from .matrices import identity_gate, matmul, tensor
-from .proofs import (AxiomRule, CutRule, ParRule, Path, Proof, QRule, Sequent, TensorRule,
-                     children, path_str, rule_count, with_child)
+from .proofs import (AxiomRule, CutRule, ParRule, Path, Proof, QRule, TensorRule, children,
+                     conclusion_position, iter_nodes, path_str, premise_source, proofs_equal,
+                     rule_count, with_child)
 from .trees import memo_fold
 
 Perm = tuple[int, ...]  # perm[old_pos - 1] = new_pos, 1-based
@@ -59,28 +62,12 @@ def _identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
-def _skip(p: int, removed: int) -> int:
-    """Slot of premise position p once `removed` is deleted (p != removed)."""
-    return p - 1 if p > removed else p
-
-
-def _unskip(t: int, removed: int) -> int:
-    """Premise position of slot t in the list with `removed` deleted."""
-    return t + 1 if t >= removed else t
-
-
-def _skip2(p: int, r1: int, r2: int) -> int:
-    return p - (p > r1) - (p > r2)
-
-
-def _unskip2(t: int, r1: int, r2: int) -> int:
-    lo, hi = min(r1, r2), max(r1, r2)
-    p = t
-    if p >= lo:
-        p += 1
-    if p >= hi:
-        p += 1
-    return p
+def _args_into(node: Proof, k: int, remap) -> tuple[int, int]:
+    """A cut's, par's or tensor's (i, j), each argument into child k passed through `remap`."""
+    par = type(node) is ParRule
+    i = remap(node.i) if par or k == 0 else node.i
+    j = remap(node.j) if par or k == 1 else node.j
+    return i, j
 
 
 @dataclass(frozen=True)
@@ -117,12 +104,18 @@ def _root_contractible(p: Proof) -> bool:
 
 
 def _axiom_elim_perm(node: CutRule, side: str) -> Perm:
-    total = len(node.conclusion)
-    if side == "right":
-        nl = len(node.left.conclusion) - 1
-        return tuple(_unskip(t, node.i) for t in range(1, nl + 1)) + (node.i,)
-    nr = len(node.right.conclusion) - 1
-    return (node.j,) + tuple(_unskip(t, node.j) for t in range(1, nr + 1))
+    """Where each occurrence goes when the axiom on `side` and the cut vanish.
+
+    The surviving premise's occurrences keep their positions in it; the
+    axiom's other occurrence takes the place of the survivor's cut formula.
+    """
+    keep = 0 if side == "right" else 1
+    cut_pos = node.i if keep == 0 else node.j
+    perm = []
+    for t in range(1, len(node.conclusion) + 1):
+        c, q = premise_source(node, t)
+        perm.append(q if c == keep else cut_pos)
+    return tuple(perm)
 
 
 def _cut_redex(node: CutRule) -> tuple[str, tuple] | None:
@@ -245,15 +238,22 @@ def find_redexes(p: Proof) -> list[Redex]:
 # firing a redex at its node
 
 
+# commuting kind -> (the rule moved below the cut, its premise holding the
+# cut formula, the rule's name in messages)
+_COMMUTED = {"CommutePar": (ParRule, 0, "par"), "CommuteTensorLeft": (TensorRule, 0, "tensor"),
+             "CommuteTensorRight": (TensorRule, 1, "tensor")}
+_CUT_SCHEMAS = {"AxiomRed", "MultPrincipal", "QuantumPrincipal", *_COMMUTED}
+
+
 def _stale(msg: str):
     raise StaleRedexError(f"redex does not match the proof: {msg}")
 
 
 def _fire(node: Proof, redex: Redex) -> tuple[Proof, Perm]:
     kind = redex.kind
+    if kind in _CUT_SCHEMAS and not isinstance(node, CutRule):
+        _stale("expected a cut")
     if kind == "AxiomRed":
-        if not isinstance(node, CutRule):
-            _stale("expected a cut")
         (side,) = redex.data
         axiom = node.right if side == "right" else node.left
         if not isinstance(axiom, AxiomRule):
@@ -262,28 +262,23 @@ def _fire(node: Proof, redex: Redex) -> tuple[Proof, Perm]:
         return survivor, _axiom_elim_perm(node, side)
 
     if kind == "MultPrincipal":
-        if not isinstance(node, CutRule):
-            _stale("expected a cut")
         (orient,) = redex.data
+        L, R = node.left, node.right
         if orient == "tensor_left":
-            L, R = node.left, node.right
             if not (isinstance(L, TensorRule) and isinstance(R, ParRule)):
                 _stale("expected tensor against par")
             a, b, c, d = L.i, L.j, R.i, R.j
             inner = CutRule(b, d, L.right, R.sub)
-            outer = CutRule(a, (len(L.right.conclusion) - 1) + _skip(c, d), L.left, inner)
+            outer = CutRule(a, conclusion_position(inner, 1, c), L.left, inner)
             return outer, _identity(len(node.conclusion))
-        L, R = node.left, node.right
         if not (isinstance(L, ParRule) and isinstance(R, TensorRule)):
             _stale("expected par against tensor")
         c, d, a, b = L.i, L.j, R.i, R.j
         inner = CutRule(c, a, L.sub, R.left)
-        outer = CutRule(_skip(d, c), b, inner, R.right)
+        outer = CutRule(conclusion_position(inner, 0, d), b, inner, R.right)
         return outer, _identity(len(node.conclusion))
 
     if kind == "QuantumPrincipal":
-        if not isinstance(node, CutRule):
-            _stale("expected a cut")
         L, R = node.left, node.right
         if not (isinstance(L, QRule) and isinstance(R, QRule) and L.arity == R.arity):
             _stale("expected quantum rules of equal arity")
@@ -314,114 +309,48 @@ def _fire(node: Proof, redex: Redex) -> tuple[Proof, Perm]:
                        inner.sub, flip=inner.flip)
         return merged, _identity(2)
 
-    if kind in ("CommutePar", "CommuteTensorLeft", "CommuteTensorRight"):
+    if kind in _COMMUTED:
         return _fire_commute(node, redex)
 
     _stale(f"unknown redex kind {kind!r}")
 
 
 def _fire_commute(node: Proof, redex: Redex) -> tuple[Proof, Perm]:
-    if not isinstance(node, CutRule):
-        _stale("expected a cut")
+    """Move the par or tensor x on cut premise s below the cut.
+
+    Above x's premise c that holds the cut formula, an inner cut takes x's
+    place; x's arguments into c follow that premise into the inner cut.
+    Each old occurrence is traced down through the cut and x with
+    `premise_source`, then back up through the reduct with
+    `conclusion_position`; x's principal formula stays last.
+    """
     (side,) = redex.data
-    L, R, i, j = node.left, node.right, node.i, node.j
+    s = 0 if side == "L" else 1
+    rule, c, name = _COMMUTED[redex.kind]
+    x = children(node)[s]
+    src = premise_source(x, (node.i, node.j)[s]) if type(x) is rule else None
+    if src is None or src[0] != c:
+        _stale(f"expected a commutable {name} on the {('left', 'right')[s]}")
+    cut, kids = [node.i, node.j], [node.left, node.right]
+    cut[s], kids[s] = src[1], children(x)[c]
+    inner = CutRule(*cut, *kids)
+    xkids = list(children(x))
+    xkids[c] = inner
+    repl = rule(*_args_into(x, c, lambda a: conclusion_position(inner, s, a)), *xkids)
     total = len(node.conclusion)
-    nl = len(L.conclusion) - 1
-
-    if redex.kind == "CommutePar":
-        if side == "R":
-            if not isinstance(R, ParRule) or j == len(R.conclusion):
-                _stale("expected a commutable par on the right")
-            c, d = R.i, R.j
-            j2 = _unskip2(j, c, d)
-            inner = CutRule(i, j2, L, R.sub)
-            repl = ParRule(nl + _skip(c, j2), nl + _skip(d, j2), inner)
-            return repl, _identity(total)
-        if not isinstance(L, ParRule) or i == len(L.conclusion):
-            _stale("expected a commutable par on the left")
-        c, d = L.i, L.j
-        i2 = _unskip2(i, c, d)
-        inner = CutRule(i2, j, L.sub, R)
-        repl = ParRule(_skip(c, i2), _skip(d, i2), inner)
-        # old: passengers, principal, right block; new: principal moves last
-        ntheta = len(L.conclusion) - 1 - 1  # par passengers minus the cut slot
-        nr = len(R.conclusion) - 1
-        perm = []
-        for t in range(1, total + 1):
-            if t <= ntheta:
-                perm.append(t)
-            elif t == ntheta + 1:
-                perm.append(ntheta + nr + 1)
-            else:
-                perm.append(t - 1)
-        return repl, tuple(perm)
-
-    if redex.kind == "CommuteTensorLeft":
-        if side == "R":
-            if not isinstance(R, TensorRule):
-                _stale("expected a tensor on the right")
-            a, b = R.i, R.j
-            p1 = _unskip(j, a)
-            inner = CutRule(i, p1, L, R.left)
-            repl = TensorRule(nl + _skip(a, p1), b, inner, R.right)
-            return repl, _identity(total)
-        if not isinstance(L, TensorRule):
-            _stale("expected a tensor on the left")
-        a, b = L.i, L.j
-        p1 = _unskip(i, a)
-        inner = CutRule(p1, j, L.left, R)
-        repl = TensorRule(_skip(a, p1), b, inner, L.right)
-        m1 = len(L.left.conclusion) - 2
-        m2 = len(L.right.conclusion) - 1
-        nr = len(R.conclusion) - 1
-        perm = []
-        for t in range(1, total + 1):
-            if t <= m1:
-                perm.append(t)
-            elif t <= m1 + m2:
-                perm.append(t + nr)
-            elif t == m1 + m2 + 1:
-                perm.append(m1 + nr + m2 + 1)
-            else:
-                perm.append(t - m2 - 1)
-        return repl, tuple(perm)
-
-    # CommuteTensorRight
-    if side == "R":
-        if not isinstance(R, TensorRule):
-            _stale("expected a tensor on the right")
-        a, b = R.i, R.j
-        n1 = len(R.left.conclusion) - 1
-        p2 = _unskip(j - n1, b)
-        inner = CutRule(i, p2, L, R.right)
-        repl = TensorRule(a, nl + _skip(b, p2), R.left, inner)
-        perm = []
-        for t in range(1, total + 1):
-            if t <= nl:
-                perm.append(t + n1)
-            elif t <= nl + n1:
-                perm.append(t - nl)
-            else:
-                perm.append(t)
-        return repl, tuple(perm)
-    if not isinstance(L, TensorRule):
-        _stale("expected a tensor on the left")
-    a, b = L.i, L.j
-    n1 = len(L.left.conclusion) - 1
-    p2 = _unskip(i - n1, b)
-    inner = CutRule(p2, j, L.right, R)
-    repl = TensorRule(a, _skip(b, p2), L.left, inner)
-    m1 = n1
-    m2 = len(L.right.conclusion) - 2
-    nr = len(R.conclusion) - 1
     perm = []
     for t in range(1, total + 1):
-        if t <= m1 + m2:
-            perm.append(t)
-        elif t == m1 + m2 + 1:
-            perm.append(m1 + m2 + nr + 1)
-        else:
-            perm.append(t - 1)
+        side_t, q = premise_source(node, t)
+        k = c  # the reduct's child that ends up holding the occurrence
+        if side_t == s:
+            src = premise_source(x, q)
+            if src is None:
+                perm.append(total)
+                continue
+            k, q = src
+        if k == c:
+            q = conclusion_position(inner, side_t, q)
+        perm.append(conclusion_position(repl, k, q))
     return repl, tuple(perm)
 
 
@@ -430,69 +359,14 @@ def _fire_commute(node: Proof, redex: Redex) -> tuple[Proof, Perm]:
 
 
 def _rebuild(node: Proof, k: int, new_child: Proof, sig: Perm) -> tuple[Proof, Perm]:
+    """`node` over a new child k whose conclusion is the old one permuted by `sig`.
+
+    Arguments into child k follow `sig`; each old occurrence is traced to its
+    premise with `premise_source` and back with `conclusion_position`.
+    """
     total = len(node.conclusion)
     if sig == _identity(len(sig)):
         return with_child(node, k, new_child), _identity(total)
-
-    if isinstance(node, CutRule):
-        nl = len(node.left.conclusion) - 1
-        if k == 0:
-            i2 = sig[node.i - 1]
-            repl = CutRule(i2, node.j, new_child, node.right)
-            perm = []
-            for t in range(1, total + 1):
-                if t <= nl:
-                    p2 = sig[_unskip(t, node.i) - 1]
-                    perm.append(_skip(p2, i2))
-                else:
-                    perm.append(t)
-            return repl, tuple(perm)
-        j2 = sig[node.j - 1]
-        repl = CutRule(node.i, j2, node.left, new_child)
-        perm = []
-        for t in range(1, total + 1):
-            if t <= nl:
-                perm.append(t)
-            else:
-                p2 = sig[_unskip(t - nl, node.j) - 1]
-                perm.append(nl + _skip(p2, j2))
-        return repl, tuple(perm)
-
-    if isinstance(node, ParRule):
-        i2, j2 = sig[node.i - 1], sig[node.j - 1]
-        repl = ParRule(i2, j2, new_child)
-        perm = []
-        for t in range(1, total + 1):
-            if t == total:
-                perm.append(t)
-            else:
-                p2 = sig[_unskip2(t, node.i, node.j) - 1]
-                perm.append(_skip2(p2, i2, j2))
-        return repl, tuple(perm)
-
-    if isinstance(node, TensorRule):
-        nl = len(node.left.conclusion) - 1
-        if k == 0:
-            i2 = sig[node.i - 1]
-            repl = TensorRule(i2, node.j, new_child, node.right)
-            perm = []
-            for t in range(1, total + 1):
-                if t <= nl:
-                    p2 = sig[_unskip(t, node.i) - 1]
-                    perm.append(_skip(p2, i2))
-                else:
-                    perm.append(t)
-            return repl, tuple(perm)
-        j2 = sig[node.j - 1]
-        repl = TensorRule(node.i, j2, node.left, new_child)
-        perm = []
-        for t in range(1, total + 1):
-            if nl < t < total:
-                p2 = sig[_unskip(t - nl, node.j) - 1]
-                perm.append(nl + _skip(p2, j2))
-            else:
-                perm.append(t)
-        return repl, tuple(perm)
 
     if isinstance(node, QRule):
         if len(sig) != 2:
@@ -502,7 +376,18 @@ def _rebuild(node: Proof, k: int, new_child: Proof, sig: Perm) -> tuple[Proof, P
         repl = QRule(node.arity, node.gate, new_child, flip=not node.flip)
         return repl, _identity(total)
 
-    raise ProofError(f"cannot rebuild above {type(node).__name__}")
+    kids = list(children(node))
+    kids[k] = new_child
+    repl = type(node)(*_args_into(node, k, lambda a: sig[a - 1]), *kids)
+    perm = []
+    for t in range(1, total + 1):
+        src = premise_source(node, t)
+        if src is None:  # a principal formula stays last
+            perm.append(t)
+            continue
+        c, q = src
+        perm.append(conclusion_position(repl, c, sig[q - 1] if c == k else q))
+    return repl, tuple(perm)
 
 
 def step(proof: Proof, redex: Redex) -> tuple[Proof, Perm]:
@@ -584,27 +469,25 @@ def canonical_form(p: Proof) -> Proof:
     lexicographically smaller axiom formula everywhere and lets the usual
     rebuild machinery absorb the induced position swaps.
     """
-    from .formulas import print_formula
-
-    def go(node: Proof) -> tuple[Proof, Perm]:
+    done: dict[Path, tuple[Proof, Perm]] = {}  # a node's canonical form and how it moved
+    for path, node in iter_nodes(p):
         if isinstance(node, AxiomRule):
             other = dual(node.formula)
             if print_formula(other) < print_formula(node.formula):
-                return AxiomRule(other), (2, 1)
-            return node, (1, 2)
-        cur = node
-        sigma = _identity(len(node.conclusion))
+                done[path] = AxiomRule(other), (2, 1)
+            else:
+                done[path] = node, (1, 2)
+            continue
+        cur, sigma = node, _identity(len(node.conclusion))
         for k in range(len(children(node))):
-            child2, sig = go(children(cur)[k])
-            cur, sig_out = _rebuild(cur, k, child2, sig)
+            child, sig = done.pop(path + (k,))
+            cur, sig_out = _rebuild(cur, k, child, sig)
             sigma = tuple(sig_out[x - 1] for x in sigma)
-        return cur, sigma
-
-    return go(p)[0]
+        done[path] = cur, sigma
+    return done[()][0]
 
 
 def equal_modulo_representation(p: Proof, q: Proof, gate_tol: float = 1e-9) -> bool:
-    from .proofs import proofs_equal
     return proofs_equal(canonical_form(p), canonical_form(q), gate_tol)
 
 

@@ -267,6 +267,36 @@ def hole_atom(c: Context, f: Formula) -> Atom:
     return cur
 
 
+def context_along(f: Formula, segments: list[str]) -> Context:
+    """The context reached from the root of `f` by a path of `L`/`R` segments.
+
+    `L` enters the left side of a par or tensor, or the body of a box or
+    diamond; `R` enters the right side of a par or tensor. The path must end
+    at an atom.
+    """
+    steps: list[Step] = []
+    for seg in segments:
+        match seg, f:
+            case "L", Par(l, r) | Tensor(l, r):
+                steps.append((PAR_L if isinstance(f, Par) else TENS_L, r))
+                f = l
+            case "R", Par(l, r) | Tensor(l, r):
+                steps.append((PAR_R if isinstance(f, Par) else TENS_R, l))
+                f = r
+            case "L", Box(b) | Diamond(b):
+                steps.append((BOX_S if isinstance(f, Box) else DIA_S, None))
+                f = b
+            case "L", _:
+                raise QmllError("context path descends below an atom")
+            case "R", _:
+                raise QmllError("'R' only descends binary connectives")
+            case _:
+                raise QmllError(f"bad context path segment {seg!r} (use L or R)")
+    if not isinstance(f, Atom):
+        raise QmllError("context path must end at an atom")
+    return Context(tuple(steps))
+
+
 def polarity_for(c: Context, f: Formula) -> bool:
     """True if `c` is a positive context for `f` (hole holds a positive atom)."""
     return hole_atom(c, f).positive

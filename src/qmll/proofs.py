@@ -26,15 +26,16 @@ where ROW is a bracket list of [re,im] pairs, row-major.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tokens as tk
 from .errors import CheckFailure, PreconditionError, ProofError, ProofSyntaxError, QmllError
-from .formulas import (Atom, Box, Diamond, Formula, dual, is_modal, parse_formula_stream,
+from .formulas import (Atom, Formula, Par, Tensor, dual, is_modal, parse_formula_stream,
                        print_formula, wrap_modal)
 from .matrices import UnitaryMatrix, gate_by_name, render_rows
+from .trees import post_order
 
 Sequent = tuple[Formula, ...]
 Path = tuple[int, ...]
@@ -102,8 +103,7 @@ class ParRule:
         if msgs:
             raise ProofError("; ".join(msgs))
         prem = self.sub.conclusion
-        from .formulas import Par as ParF
-        concl = _minus(prem, self.i, self.j) + (ParF(prem[self.i - 1], prem[self.j - 1]),)
+        concl = _minus(prem, self.i, self.j) + (Par(prem[self.i - 1], prem[self.j - 1]),)
         object.__setattr__(self, "conclusion", concl)
 
 
@@ -120,8 +120,7 @@ class TensorRule:
         msgs = _tensor_violations(self.i, self.j, self.left.conclusion, self.right.conclusion)
         if msgs:
             raise ProofError("; ".join(msgs))
-        from .formulas import Tensor as TensorF
-        principal = TensorF(self.left.conclusion[self.i - 1], self.right.conclusion[self.j - 1])
+        principal = Tensor(self.left.conclusion[self.i - 1], self.right.conclusion[self.j - 1])
         concl = (_minus(self.left.conclusion, self.i)
                  + _minus(self.right.conclusion, self.j) + (principal,))
         object.__setattr__(self, "conclusion", concl)
@@ -248,15 +247,7 @@ def with_child(node: Proof, k: int, child: Proof) -> Proof:
         state.pop("summary", None)  # it describes the old subtree
         state[name] = child
         return copy
-    match node:
-        case CutRule(i, j, l, r):
-            rebuilt = CutRule(i, j, child, r) if k == 0 else CutRule(i, j, l, child)
-        case TensorRule(i, j, l, r):
-            rebuilt = TensorRule(i, j, child, r) if k == 0 else TensorRule(i, j, l, child)
-        case ParRule(i, j, _):
-            rebuilt = ParRule(i, j, child)
-        case QRule(n, g, _, fl):
-            rebuilt = QRule(n, g, child, flip=fl)
+    rebuilt = replace(node, **{name: child})
     if rebuilt.conclusion == node.conclusion:
         object.__setattr__(rebuilt, "conclusion", node.conclusion)
     return rebuilt
@@ -274,11 +265,7 @@ def node_at(p: Proof, path: Path) -> Proof:
 
 def iter_nodes(p: Proof, path: Path = ()) -> list[tuple[Path, Proof]]:
     """Post-order (children first, left to right)."""
-    out: list[tuple[Path, Proof]] = []
-    for k, c in enumerate(children(p)):
-        out.extend(iter_nodes(c, path + (k,)))
-    out.append((path, p))
-    return out
+    return post_order(p, children, path)
 
 
 def rule_count(p: Proof) -> int:
@@ -297,82 +284,90 @@ def rule_count(p: Proof) -> int:
 
 def proofs_equal(p: Proof, q: Proof, gate_tol: float = 1e-9) -> bool:
     """Structural equality; gate matrices compared entry-wise within gate_tol."""
-    if type(p) is not type(q):
-        return False
-    match p:
-        case AxiomRule(f):
-            return f == q.formula
-        case CutRule(i, j, l, r):
-            return (i, j) == (q.i, q.j) and proofs_equal(l, q.left, gate_tol) \
-                and proofs_equal(r, q.right, gate_tol)
-        case ParRule(i, j, s):
-            return (i, j) == (q.i, q.j) and proofs_equal(s, q.sub, gate_tol)
-        case TensorRule(i, j, l, r):
-            return (i, j) == (q.i, q.j) and proofs_equal(l, q.left, gate_tol) \
-                and proofs_equal(r, q.right, gate_tol)
-        case QRule(n, g, s, fl):
-            if n != q.arity or fl != q.flip or g.data.shape != q.gate.data.shape:
-                return False
-            if np.max(np.abs(g.data - q.gate.data)) > gate_tol:
-                return False
-            return proofs_equal(s, q.sub, gate_tol)
-    return False
+    stack = [(p, q)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b) or not _same_rule(a, b, gate_tol):
+            return False
+        stack.extend(zip(children(a), children(b)))
+    return True
+
+
+def _same_rule(p: Proof, q: Proof, gate_tol: float) -> bool:
+    """Whether two nodes of one type carry the same arguments, their premises aside."""
+    t = type(p)
+    if t is AxiomRule:
+        return p.formula == q.formula
+    if t is QRule:
+        g, h = p.gate.data, q.gate.data
+        if p.arity != q.arity or p.flip != q.flip or g.shape != h.shape:
+            return False
+        return not np.max(np.abs(g - h)) > gate_tol
+    return (t is CutRule or t is ParRule or t is TensorRule) and (p.i, p.j) == (q.i, q.j)
 
 
 # ---------------------------------------------------------------------------
 # occurrence linkage: where each conclusion occurrence comes from
 
 
+# Besides the rule constructors, which build each conclusion, these two
+# functions are the only code that knows where a premise occurrence lands in
+# it: cut elimination derives every step permutation from them, and the token
+# machine every move through a rule that does not introduce its formula.
+
+
 def premise_source(p: Proof, pos: int) -> tuple[int, int] | None:
     """Map a non-principal conclusion position to (child index, premise position).
 
     Returns None for principal occurrences (introduced by the rule itself).
+    A cut or tensor lists the survivors of its left premise, then those of
+    its right; a par lists those of its one premise; a par or tensor then
+    puts its principal formula last.
     """
-    match p:
-        case AxiomRule():
+    t = type(p)
+    if t is CutRule or t is TensorRule:
+        if t is TensorRule and pos == len(p.conclusion):
             return None
-        case CutRule(i, j, l, _):
-            nl = len(l.conclusion) - 1
-            if pos <= nl:
-                prem = pos if pos < i else pos + 1
-                return (0, prem)
-            pos -= nl
-            prem = pos if pos < j else pos + 1
-            return (1, prem)
-        case ParRule(i, j, s):
-            if pos == len(p.conclusion):
-                return None
-            lo, hi = min(i, j), max(i, j)
-            prem = pos
-            if prem >= lo:
-                prem += 1
-            if prem >= hi:
-                prem += 1
-            return (0, prem)
-        case TensorRule(i, j, l, _):
-            if pos == len(p.conclusion):
-                return None
-            nl = len(l.conclusion) - 1
-            if pos <= nl:
-                prem = pos if pos < i else pos + 1
-                return (0, prem)
-            pos -= nl
-            prem = pos if pos < j else pos + 1
-            return (1, prem)
-        case QRule():
+        nl = len(p.left.conclusion) - 1
+        if pos <= nl:
+            return (0, pos + (pos >= p.i))
+        pos -= nl
+        return (1, pos + (pos >= p.j))
+    if t is ParRule:
+        if pos == len(p.conclusion):
             return None
+        lo, hi = (p.i, p.j) if p.i < p.j else (p.j, p.i)
+        pos += pos >= lo
+        return (0, pos + (pos >= hi))
+    if t is AxiomRule or t is QRule:
+        return None
     raise QmllError(f"not a proof node: {p!r}")
+
+
+def conclusion_position(p: Proof, k: int, prem: int) -> int | None:
+    """Where position `prem` of child k's conclusion lands in p's conclusion.
+
+    The inverse of `premise_source`. Returns None when the rule consumes the
+    occurrence: a cut formula, a par or tensor component, or a quantum
+    rule's premise, which becomes a modal formula of the conclusion.
+    """
+    t = type(p)
+    if t is CutRule or t is TensorRule:
+        if k == 0:
+            return None if prem == p.i else prem - (prem > p.i)
+        j = p.j
+        return None if prem == j else len(p.left.conclusion) - 1 + prem - (prem > j)
+    if t is ParRule:
+        i, j = p.i, p.j
+        return None if prem == i or prem == j else prem - (prem > i) - (prem > j)
+    if t is QRule:
+        return None
+    raise QmllError(f"not a rule with premises: {p!r}")
 
 
 def principal_positions(p: Proof) -> tuple[int, ...]:
-    match p:
-        case AxiomRule() | QRule():
-            return (1, 2)
-        case CutRule():
-            return ()
-        case ParRule() | TensorRule():
-            return (len(p.conclusion),)
-    raise QmllError(f"not a proof node: {p!r}")
+    """Conclusion positions the rule introduces, those without a premise source."""
+    return tuple(pos for pos in range(1, len(p.conclusion) + 1) if premise_source(p, pos) is None)
 
 
 def principal_formulas(p: Proof, path: Path) -> set[OccurrenceId]:
@@ -609,16 +604,33 @@ def print_gate(g: UnitaryMatrix) -> str:
 
 
 def print_proof(p: Proof) -> str:
-    match p:
-        case AxiomRule(f):
-            return f"(ax {print_formula(f)})"
-        case CutRule(i, j, l, r):
-            return f"(cut {i} {j} {print_proof(l)} {print_proof(r)})"
-        case ParRule(i, j, s):
-            return f"(par {i} {j} {print_proof(s)})"
-        case TensorRule(i, j, l, r):
-            return f"(tensor {i} {j} {print_proof(l)} {print_proof(r)})"
-        case QRule(n, g, s, fl):
-            kw = "qflip" if fl else "q"
-            return f"({kw} {n} {print_gate(g)} {print_proof(s)})"
-    raise QmllError(f"not a proof node: {p!r}")
+    """The file syntax of p, written out in pre-order from an explicit stack."""
+    out: list[str] = []
+    stack: list[Proof | str] = [p]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        out.append(_rule_head(item))
+        stack.append(")")
+        for c in reversed(children(item)):
+            stack.append(c)
+            stack.append(" ")
+    return "".join(out)
+
+
+def _rule_head(node: Proof) -> str:
+    """A rule's text up to its premises."""
+    t = type(node)
+    if t is AxiomRule:
+        return f"(ax {print_formula(node.formula)}"
+    if t is QRule:
+        return f"({'qflip' if node.flip else 'q'} {node.arity} {print_gate(node.gate)}"
+    if t is CutRule:
+        return f"(cut {node.i} {node.j}"
+    if t is ParRule:
+        return f"(par {node.i} {node.j}"
+    if t is TensorRule:
+        return f"(tensor {node.i} {node.j}"
+    raise QmllError(f"not a proof node: {node!r}")

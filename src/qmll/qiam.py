@@ -22,11 +22,11 @@ import numpy as np
 
 from .errors import MachineError, PreconditionError
 from .formulas import (BOX_S, DIA_S, PAR_L, PAR_R, TENS_L, TENS_R, Context, Formula,
-                       atoms, contexts_for, depth, dual_context, hole_atom, print_context)
+                       atoms, contexts_for, depth, dual_context, hole_atom, print_context,
+                       print_formula)
 from .matrices import (StateVector, UnitaryMatrix, adjoint, apply_at, max_qubits)
-from .proofs import (AxiomRule, CutRule, ParRule, Path, Proof, QRule, TensorRule, children,
-                     iter_nodes)
-from .cutelim import _skip, _skip2, _unskip, _unskip2
+from .proofs import (AxiomRule, CutRule, ParRule, Path, Proof, QRule, conclusion_position,
+                     iter_nodes, path_str, premise_source)
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,12 @@ def _pop_uniform(stack: tuple[str, ...], m: int) -> tuple[str | None, tuple[str,
 
 
 def step_machine(graph: OccurrenceGraph, s: MachineState) -> Next | Final | Stuck:
+    """One move of the token.
+
+    Through a rule that does not introduce the token's formula, it climbs
+    along `premise_source` and descends along `conclusion_position`; only
+    principal formulas, cut formulas and box ports are handled here.
+    """
     if s.positive and s.path == ():
         if not s.stack:
             return Final(s)
@@ -120,86 +126,36 @@ def step_machine(graph: OccurrenceGraph, s: MachineState) -> Next | Final | Stuc
         if isinstance(node, AxiomRule):
             other = 2 if s.pos == 1 else 1
             return Next(replace(s, pos=other, ctx=dual_context(s.ctx), positive=True))
-        if isinstance(node, CutRule):
-            nl = len(node.left.conclusion) - 1
-            if s.pos <= nl:
-                return Next(replace(s, path=s.path + (0,), pos=_unskip(s.pos, node.i)))
-            return Next(replace(s, path=s.path + (1,), pos=_unskip(s.pos - nl, node.j)))
-        if isinstance(node, ParRule):
-            if s.pos < len(node.conclusion):
-                prem = _unskip2(s.pos, node.i, node.j)
-                return Next(replace(s, path=s.path + (0,), pos=prem))
-            if not s.ctx.steps:
-                return Stuck(s, "empty context at a par principal formula")
-            kind, _ = s.ctx.steps[0]
-            inner = Context(s.ctx.steps[1:])
-            if kind == PAR_L:
-                return Next(replace(s, path=s.path + (0,), pos=node.i, ctx=inner))
-            if kind == PAR_R:
-                return Next(replace(s, path=s.path + (0,), pos=node.j, ctx=inner))
-            return Stuck(s, "context does not enter the par formula")
-        if isinstance(node, TensorRule):
-            nl = len(node.left.conclusion) - 1
-            if s.pos < len(node.conclusion):
-                if s.pos <= nl:
-                    return Next(replace(s, path=s.path + (0,), pos=_unskip(s.pos, node.i)))
-                return Next(replace(s, path=s.path + (1,), pos=_unskip(s.pos - nl, node.j)))
-            if not s.ctx.steps:
-                return Stuck(s, "empty context at a tensor principal formula")
-            kind, _ = s.ctx.steps[0]
-            inner = Context(s.ctx.steps[1:])
-            if kind == TENS_L:
-                return Next(replace(s, path=s.path + (0,), pos=node.i, ctx=inner))
-            if kind == TENS_R:
-                return Next(replace(s, path=s.path + (1,), pos=node.j, ctx=inner))
-            return Stuck(s, "context does not enter the tensor formula")
-        # QRule: enter the box, moving modal steps from context to stack
-        m = node.arity
-        want = DIA_S if s.pos == 1 else BOX_S
-        head = s.ctx.steps[:m]
-        if len(head) < m or any(k != want for k, _ in head):
-            return Stuck(s, "context does not carry the modal prefix of the formula")
-        sym = "d" if s.pos == 1 else "b"
-        prem = node.diamond_source if s.pos == 1 else node.box_source
-        return Next(replace(s, path=s.path + (0,), pos=prem,
-                            ctx=Context(s.ctx.steps[m:]), stack=s.stack + (sym,) * m))
+        if isinstance(node, QRule):  # enter the box, moving modal steps from context to stack
+            m = node.arity
+            want = DIA_S if s.pos == 1 else BOX_S
+            head = s.ctx.steps[:m]
+            if len(head) < m or any(k != want for k, _ in head):
+                return Stuck(s, "context does not carry the modal prefix of the formula")
+            sym = "d" if s.pos == 1 else "b"
+            prem = node.diamond_source if s.pos == 1 else node.box_source
+            return Next(replace(s, path=s.path + (0,), pos=prem,
+                                ctx=Context(s.ctx.steps[m:]), stack=s.stack + (sym,) * m))
+        src = premise_source(node, s.pos)
+        if src is not None:
+            return Next(replace(s, path=s.path + (src[0],), pos=src[1]))
+        # the principal formula of a par or tensor: the context picks the component
+        name, left, right = (("par", PAR_L, PAR_R) if isinstance(node, ParRule)
+                             else ("tensor", TENS_L, TENS_R))
+        if not s.ctx.steps:
+            return Stuck(s, f"empty context at a {name} principal formula")
+        kind, _ = s.ctx.steps[0]
+        inner = Context(s.ctx.steps[1:])
+        if kind == left:
+            return Next(replace(s, path=s.path + (0,), pos=node.i, ctx=inner))
+        if kind == right:
+            k = 0 if name == "par" else 1
+            return Next(replace(s, path=s.path + (k,), pos=node.j, ctx=inner))
+        return Stuck(s, f"context does not enter the {name} formula")
 
     # positive: descend through the rule below
     parent_path, k = s.path[:-1], s.path[-1]
     q = graph.node(parent_path)
-    if isinstance(q, CutRule):
-        nl = len(q.left.conclusion) - 1
-        if k == 0:
-            if s.pos == q.i:
-                return Next(replace(s, path=parent_path + (1,), pos=q.j,
-                                    ctx=dual_context(s.ctx), positive=False))
-            return Next(replace(s, path=parent_path, pos=_skip(s.pos, q.i)))
-        if s.pos == q.j:
-            return Next(replace(s, path=parent_path + (0,), pos=q.i,
-                                ctx=dual_context(s.ctx), positive=False))
-        return Next(replace(s, path=parent_path, pos=nl + _skip(s.pos, q.j)))
-    if isinstance(q, ParRule):
-        last = len(q.conclusion)
-        prem = q.sub.conclusion
-        if s.pos == q.i:
-            ctx = Context(((PAR_L, prem[q.j - 1]),) + s.ctx.steps)
-            return Next(replace(s, path=parent_path, pos=last, ctx=ctx))
-        if s.pos == q.j:
-            ctx = Context(((PAR_R, prem[q.i - 1]),) + s.ctx.steps)
-            return Next(replace(s, path=parent_path, pos=last, ctx=ctx))
-        return Next(replace(s, path=parent_path, pos=_skip2(s.pos, q.i, q.j)))
-    if isinstance(q, TensorRule):
-        last = len(q.conclusion)
-        nl = len(q.left.conclusion) - 1
-        if k == 0:
-            if s.pos == q.i:
-                ctx = Context(((TENS_L, q.right.conclusion[q.j - 1]),) + s.ctx.steps)
-                return Next(replace(s, path=parent_path, pos=last, ctx=ctx))
-            return Next(replace(s, path=parent_path, pos=_skip(s.pos, q.i)))
-        if s.pos == q.j:
-            ctx = Context(((TENS_R, q.left.conclusion[q.i - 1]),) + s.ctx.steps)
-            return Next(replace(s, path=parent_path, pos=last, ctx=ctx))
-        return Next(replace(s, path=parent_path, pos=nl + _skip(s.pos, q.j)))
     if isinstance(q, QRule):
         m = q.arity
         sym, rest = _pop_uniform(s.stack, m)
@@ -222,7 +178,19 @@ def step_machine(graph: OccurrenceGraph, s: MachineState) -> Next | Final | Stuc
         if event is not None and nxt.register is not None:
             nxt = replace(nxt, register=apply_at(event.applied(), nxt.register, event.offset))
         return Next(nxt, event)
-    raise MachineError(f"cannot descend through {type(q).__name__}")
+    pos = conclusion_position(q, k, s.pos)
+    if pos is not None:
+        return Next(replace(s, path=parent_path, pos=pos))
+    if isinstance(q, CutRule):  # bounce off the cut to the dual occurrence
+        k2, pos2 = (1, q.j) if k == 0 else (0, q.i)
+        return Next(replace(s, path=parent_path + (k2,), pos=pos2,
+                            ctx=dual_context(s.ctx), positive=False))
+    # a component of a par or tensor: the context records its side and the other component
+    left, right = (PAR_L, PAR_R) if isinstance(q, ParRule) else (TENS_L, TENS_R)
+    principal = q.conclusion[-1]
+    entered = (left, principal.right) if k == 0 and s.pos == q.i else (right, principal.left)
+    return Next(replace(s, path=parent_path, pos=len(q.conclusion),
+                        ctx=Context((entered,) + s.ctx.steps)))
 
 
 @dataclass(frozen=True)
@@ -283,7 +251,6 @@ def run(graph: OccurrenceGraph, start: MachineState,
 
 
 def _trace_line(graph: OccurrenceGraph, s: MachineState) -> str:
-    from .proofs import path_str, print_formula
     f = graph.formula(s.path, s.pos)
     pol = "P" if s.positive else "N"
     return (f"{path_str(s.path)}#{s.pos} {print_formula(f)} | {print_context(s.ctx)} "

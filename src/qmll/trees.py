@@ -1,4 +1,4 @@
-"""Bottom-up folds over immutable trees, memoized on the nodes themselves."""
+"""Walks over immutable trees, on explicit stacks."""
 
 from __future__ import annotations
 
@@ -34,3 +34,22 @@ def memo_fold(root: N, attr: str, kids: Callable[[N], Sequence[N]],
         if getattr(node, attr, None) is None:  # else a shared subtree, finished earlier
             object.__setattr__(node, attr, combine(node, values))
     return getattr(root, attr)
+
+
+def post_order(root: N, kids: Callable[[N], Sequence[N]],
+               path: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], N]]:
+    """Every node with its path of child indices from `path`, children first, left to right.
+
+    Popping the last child first lists each node before its children, right
+    to left; that order reversed is the post-order. The walk runs on an
+    explicit stack, so tree depth never meets the recursion limit.
+    """
+    out = []
+    stack = [(path, root)]
+    while stack:
+        at, node = stack.pop()
+        out.append((at, node))
+        for k, c in enumerate(kids(node)):
+            stack.append((at + (k,), c))
+    out.reverse()
+    return out

@@ -132,3 +132,28 @@ def test_normalize_idempotent_on_own_output(tmp_path, capsys):
 
 def test_missing_file_exit_2(capsys):
     assert main(["check", "/nonexistent/file.proof"]) == 2
+
+
+CONTEXT_ERRORS = [  # (proof, extra arguments, message)
+    ("(tensor 1 1 (ax a) (ax b))", ["--context", "auto"],
+     "--context auto needs exactly one negative context, found 2"),
+    ("(tensor 1 1 (ax a) (ax b))", ["--entry", "1"],
+     "--context auto needs exactly one negative context, found 0"),
+    ("(q 1 H (ax a))", ["--context", "x.L"],
+     "context path must start with a formula index: 'x.L'"),
+    ("(q 1 H (ax a))", ["--context", "3.L"], "formula index 3 out of range"),
+    ("(q 1 H (ax a))", ["--context", "1.L", "--entry", "2"],
+     "--entry 2 conflicts with context path index 1"),
+    ("(q 1 H (ax a))", ["--context", "1.L.L"], "context path descends below an atom"),
+    ("(q 1 H (ax a))", ["--context", "1.R"], "'R' only descends binary connectives"),
+    ("(q 1 H (ax a))", ["--context", "1.X"], "bad context path segment 'X' (use L or R)"),
+    ("(q 1 H (ax a))", ["--context", "1"], "context path must end at an atom"),
+]
+
+
+@pytest.mark.parametrize("command", ["semantics", "run", "extract"])
+@pytest.mark.parametrize("text,extra,message", CONTEXT_ERRORS)
+def test_context_errors_exit_1(tmp_path, capsys, command, text, extra, message):
+    f = write(tmp_path, "p.proof", text)
+    assert main([command, f, *extra]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -6,12 +6,13 @@ import pytest
 
 from qmll import (circuit_from_json, check, encode, find_redexes, normalize, parse_proof,
                   print_proof, proofs_equal, step, weight)
+from qmll import cutelim
 from qmll.cutelim import Redex, _axiom_elim_perm, canonical_form, equal_modulo_representation
 from qmll.errors import StaleRedexError
 from qmll.formulas import Atom, leading_run, modal_chain
 from qmll.matrices import approx_equal, gate_by_name, identity_gate
 from qmll.proofs import (AxiomRule, CutRule, ParRule, QRule, TensorRule, children, iter_nodes,
-                         rule_count)
+                         rule_count, with_child)
 
 from gen import random_circuit, random_corpus
 
@@ -225,6 +226,19 @@ def test_walks_do_not_recurse_on_a_deep_proof():
     assert find_redexes(new) == []
 
 
+def test_proof_walks_do_not_recurse_on_a_deep_normal_form():
+    p = CutRule(2, 1, AxiomRule(Atom("a")), AxiomRule(Atom("a")))
+    for _ in range(3000):
+        p = QRule(1, identity_gate(1), p, flip=True)
+    nf = normalize(p).final
+    nodes = iter_nodes(nf)
+    assert len(nodes) == 3001 and nodes[-1] == ((), nf) and nodes[0][0] == (0,) * 3000
+    assert check(nf).ok
+    assert print_proof(nf) == "(qflip 1 I1 " * 3000 + "(ax a)" + ")" * 3000
+    assert proofs_equal(nf, nf) and not proofs_equal(nf, nf.sub)
+    assert proofs_equal(canonical_form(nf), nf, gate_tol=0)
+
+
 # The recursive walks normalize made before the summaries were memoized,
 # kept as the reference the memoized ones must agree with.
 
@@ -349,3 +363,224 @@ def test_memoized_summaries_match_fresh_walks_on_circuits(seed):
     p = encode(circuit_from_json(random_circuit(seed, 3, 120)))
     assert_summaries_match_fresh_walks(p, "leftmost-innermost")
     assert_summaries_match_fresh_walks(p, "random", seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# The hand-written position arithmetic that step permutations were computed
+# with before they were derived from premise_source/conclusion_position,
+# kept as the reference the derived ones must agree with exactly.
+
+
+def ref_skip(p, removed):
+    return p - 1 if p > removed else p
+
+
+def ref_unskip(t, removed):
+    return t + 1 if t >= removed else t
+
+
+def ref_skip2(p, r1, r2):
+    return p - (p > r1) - (p > r2)
+
+
+def ref_unskip2(t, r1, r2):
+    lo, hi = min(r1, r2), max(r1, r2)
+    p = t
+    if p >= lo:
+        p += 1
+    if p >= hi:
+        p += 1
+    return p
+
+
+def ref_identity(n):
+    return tuple(range(1, n + 1))
+
+
+def ref_axiom_elim_perm(node, side):
+    if side == "right":
+        nl = len(node.left.conclusion) - 1
+        return tuple(ref_unskip(t, node.i) for t in range(1, nl + 1)) + (node.i,)
+    nr = len(node.right.conclusion) - 1
+    return (node.j,) + tuple(ref_unskip(t, node.j) for t in range(1, nr + 1))
+
+
+def ref_fire(node, redex):
+    if redex.kind == "AxiomRed":
+        (side,) = redex.data
+        survivor = node.left if side == "right" else node.right
+        return survivor, ref_axiom_elim_perm(node, side)
+    if redex.kind == "MultPrincipal":
+        L, R = node.left, node.right
+        if redex.data == ("tensor_left",):
+            a, b, c, d = L.i, L.j, R.i, R.j
+            inner = CutRule(b, d, L.right, R.sub)
+            outer = CutRule(a, (len(L.right.conclusion) - 1) + ref_skip(c, d), L.left, inner)
+            return outer, ref_identity(len(node.conclusion))
+        c, d, a, b = L.i, L.j, R.i, R.j
+        inner = CutRule(c, a, L.sub, R.left)
+        outer = CutRule(ref_skip(d, c), b, inner, R.right)
+        return outer, ref_identity(len(node.conclusion))
+    if redex.kind.startswith("Commute"):
+        return ref_fire_commute(node, redex)
+    return cutelim._fire(node, redex)  # the schemas whose positions are fixed
+
+
+def ref_fire_commute(node, redex):
+    (side,) = redex.data
+    L, R, i, j = node.left, node.right, node.i, node.j
+    total = len(node.conclusion)
+    nl = len(L.conclusion) - 1
+    if redex.kind == "CommutePar":
+        if side == "R":
+            c, d = R.i, R.j
+            j2 = ref_unskip2(j, c, d)
+            inner = CutRule(i, j2, L, R.sub)
+            return ParRule(nl + ref_skip(c, j2), nl + ref_skip(d, j2), inner), ref_identity(total)
+        c, d = L.i, L.j
+        i2 = ref_unskip2(i, c, d)
+        inner = CutRule(i2, j, L.sub, R)
+        repl = ParRule(ref_skip(c, i2), ref_skip(d, i2), inner)
+        ntheta = len(L.conclusion) - 1 - 1
+        nr = len(R.conclusion) - 1
+        perm = []
+        for t in range(1, total + 1):
+            if t <= ntheta:
+                perm.append(t)
+            elif t == ntheta + 1:
+                perm.append(ntheta + nr + 1)
+            else:
+                perm.append(t - 1)
+        return repl, tuple(perm)
+    if redex.kind == "CommuteTensorLeft":
+        if side == "R":
+            a, b = R.i, R.j
+            p1 = ref_unskip(j, a)
+            inner = CutRule(i, p1, L, R.left)
+            return TensorRule(nl + ref_skip(a, p1), b, inner, R.right), ref_identity(total)
+        a, b = L.i, L.j
+        p1 = ref_unskip(i, a)
+        inner = CutRule(p1, j, L.left, R)
+        repl = TensorRule(ref_skip(a, p1), b, inner, L.right)
+        m1 = len(L.left.conclusion) - 2
+        m2 = len(L.right.conclusion) - 1
+        nr = len(R.conclusion) - 1
+        perm = []
+        for t in range(1, total + 1):
+            if t <= m1:
+                perm.append(t)
+            elif t <= m1 + m2:
+                perm.append(t + nr)
+            elif t == m1 + m2 + 1:
+                perm.append(m1 + nr + m2 + 1)
+            else:
+                perm.append(t - m2 - 1)
+        return repl, tuple(perm)
+    if side == "R":
+        a, b = R.i, R.j
+        n1 = len(R.left.conclusion) - 1
+        p2 = ref_unskip(j - n1, b)
+        inner = CutRule(i, p2, L, R.right)
+        repl = TensorRule(a, nl + ref_skip(b, p2), R.left, inner)
+        perm = []
+        for t in range(1, total + 1):
+            if t <= nl:
+                perm.append(t + n1)
+            elif t <= nl + n1:
+                perm.append(t - nl)
+            else:
+                perm.append(t)
+        return repl, tuple(perm)
+    a, b = L.i, L.j
+    n1 = len(L.left.conclusion) - 1
+    p2 = ref_unskip(i - n1, b)
+    inner = CutRule(p2, j, L.right, R)
+    repl = TensorRule(a, ref_skip(b, p2), L.left, inner)
+    m1, m2, nr = n1, len(L.right.conclusion) - 2, len(R.conclusion) - 1
+    perm = []
+    for t in range(1, total + 1):
+        if t <= m1 + m2:
+            perm.append(t)
+        elif t == m1 + m2 + 1:
+            perm.append(m1 + m2 + nr + 1)
+        else:
+            perm.append(t - 1)
+    return repl, tuple(perm)
+
+
+def ref_rebuild(node, k, new_child, sig):
+    total = len(node.conclusion)
+    if sig == ref_identity(len(sig)):
+        return with_child(node, k, new_child), ref_identity(total)
+    if isinstance(node, CutRule):
+        nl = len(node.left.conclusion) - 1
+        if k == 0:
+            i2 = sig[node.i - 1]
+            repl = CutRule(i2, node.j, new_child, node.right)
+            perm = [ref_skip(sig[ref_unskip(t, node.i) - 1], i2) if t <= nl else t
+                    for t in range(1, total + 1)]
+            return repl, tuple(perm)
+        j2 = sig[node.j - 1]
+        repl = CutRule(node.i, j2, node.left, new_child)
+        perm = [t if t <= nl else nl + ref_skip(sig[ref_unskip(t - nl, node.j) - 1], j2)
+                for t in range(1, total + 1)]
+        return repl, tuple(perm)
+    if isinstance(node, ParRule):
+        i2, j2 = sig[node.i - 1], sig[node.j - 1]
+        repl = ParRule(i2, j2, new_child)
+        perm = [t if t == total else ref_skip2(sig[ref_unskip2(t, node.i, node.j) - 1], i2, j2)
+                for t in range(1, total + 1)]
+        return repl, tuple(perm)
+    if isinstance(node, TensorRule):
+        nl = len(node.left.conclusion) - 1
+        if k == 0:
+            i2 = sig[node.i - 1]
+            repl = TensorRule(i2, node.j, new_child, node.right)
+            perm = [ref_skip(sig[ref_unskip(t, node.i) - 1], i2) if t <= nl else t
+                    for t in range(1, total + 1)]
+            return repl, tuple(perm)
+        j2 = sig[node.j - 1]
+        repl = TensorRule(node.i, j2, node.left, new_child)
+        perm = [nl + ref_skip(sig[ref_unskip(t - nl, node.j) - 1], j2) if nl < t < total else t
+                for t in range(1, total + 1)]
+        return repl, tuple(perm)
+    return QRule(node.arity, node.gate, new_child, flip=not node.flip), ref_identity(total)
+
+
+def ref_step(proof, redex):
+    spine, node = [], proof
+    for k in redex.path:
+        spine.append(node)
+        node = children(node)[k]
+    new, sigma = ref_fire(node, redex)
+    for parent, k in zip(reversed(spine), reversed(redex.path)):
+        new, sigma = ref_rebuild(parent, k, new, sigma)
+    return new, sigma
+
+
+def assert_steps_match_reference(p, strategy, seed=0):
+    """Along a normalization, every step gives the reference's proof and permutation."""
+    rng = random.Random(seed)
+    cur = p
+    while redexes := find_redexes(cur):
+        r = redexes[0] if strategy == "leftmost-innermost" else rng.choice(redexes)
+        new, sigma = step(cur, r)
+        ref_new, ref_sigma = ref_step(cur, r)
+        assert proofs_equal(new, ref_new, gate_tol=0), r
+        assert sigma == ref_sigma, r
+        cur = new
+
+
+def test_step_permutations_match_hand_written_reference_on_corpus():
+    for p in random_corpus(20260811, 300):
+        assert_steps_match_reference(p, "leftmost-innermost")
+        assert_steps_match_reference(p, "random", seed=1)
+        assert_steps_match_reference(p, "random", seed=2)
+
+
+@pytest.mark.parametrize("seed,qubits,gates", [(7001, 3, 120), (7002, 7, 30)])
+def test_step_permutations_match_hand_written_reference_on_golden_circuits(seed, qubits, gates):
+    p = encode(circuit_from_json(random_circuit(seed, qubits, gates)))
+    assert_steps_match_reference(p, "leftmost-innermost")
+    assert_steps_match_reference(p, "random", seed=1)
+    assert_steps_match_reference(p, "random", seed=2)

@@ -6,10 +6,10 @@ import pytest
 from qmll import (MachineError, PreconditionError, StateVector, basis_state, normalize,
                   parse_proof, semantics_relative, zero_state)
 from qmll.cutelim import compose_perms, find_redexes, step
-from qmll.formulas import Context, depth, print_context
+from qmll.formulas import BOX_S, HOLE, PAR_L, TENS_L, Atom, Context, depth, print_context
 from qmll.matrices import approx_equal, gate_by_name
-from qmll.qiam import (OccurrenceGraph, extract_gate_sequence, initial_state,
-                       negative_entries, run, semantics_relative, step_machine)
+from qmll.qiam import (MachineState, OccurrenceGraph, Stuck, extract_gate_sequence,
+                       initial_state, negative_entries, run, semantics_relative, step_machine)
 
 from gen import random_corpus
 
@@ -255,3 +255,35 @@ def test_illegal_stack_never_reached_but_guarded():
     bad = MachineState((0,), 1, Context(()), False, ())  # stack too short
     with pytest.raises(MachineError):
         run(graph, bad)
+
+
+# ---------------------------------------------------------------------------
+# every way step_machine can get stuck, on hand-built states
+
+A = Atom("a")
+STUCK_CASES = {
+    "positive at the conclusion with a nonempty stack":
+        ("(ax a)", MachineState((), 2, HOLE, True, ("d",))),
+    "empty context at a par principal formula":
+        ("(par 1 2 (ax a))", MachineState((), 1, HOLE, False, ())),
+    "context does not enter the par formula":
+        ("(par 1 2 (ax a))", MachineState((), 1, Context(((TENS_L, A),)), False, ())),
+    "empty context at a tensor principal formula":
+        ("(tensor 1 1 (ax a) (ax b))", MachineState((), 3, HOLE, False, ())),
+    "context does not enter the tensor formula":
+        ("(tensor 1 1 (ax a) (ax b))", MachineState((), 3, Context(((PAR_L, A),)), False, ())),
+    "context does not carry the modal prefix of the formula":
+        ("(q 1 H (ax a))", MachineState((), 1, Context(((BOX_S, None),)), False, ())),
+    "stack does not carry a uniform block for the box exit":
+        ("(q 2 CNOT (ax a))", MachineState((0,), 2, HOLE, True, ("d", "b"))),
+    "box exit from an unknown premise position":
+        ("(q 1 H (ax a))", MachineState((0,), 3, HOLE, True, ("d",))),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(STUCK_CASES))
+def test_step_machine_stuck_reasons(reason):
+    text, state = STUCK_CASES[reason]
+    res = step_machine(OccurrenceGraph(parse_proof(text)), state)
+    assert isinstance(res, Stuck)
+    assert (res.reason, res.state) == (reason, state)

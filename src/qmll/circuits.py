@@ -4,7 +4,7 @@ A circuit is an ordered gate list over m qubits; targets are 1-based and
 strictly increasing (qubit 1 = most significant basis bit). `simulate` is an
 independent evaluation path used as the oracle for the machine semantics: it
 works by basis-index arithmetic and shares no code with the token machine or
-`apply_at`.
+its gate kernel `matrices.apply_gate`.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError, QmllError
 from .formulas import Atom, Context, depth
-from .matrices import (StateVector, UnitaryMatrix, approx_equal, gate_by_name, identity_gate,
-                       max_qubits, render_rows)
+from .matrices import (StateVector, UnitaryMatrix, approx_equal, check_qubits, gate_by_name,
+                       identity_gate, render_rows)
 from .proofs import AxiomRule, CutRule, Proof, QRule
 from .qiam import extract_gate_sequence
 
@@ -50,7 +50,12 @@ class EmbeddedGate:
 
 def _apply_on_targets(state: np.ndarray, u: np.ndarray, targets: tuple[int, ...],
                       m: int) -> np.ndarray:
-    """Apply u on the given qubits by gathering amplitudes over basis indices."""
+    """Apply u on the given qubits by gathering amplitudes over basis indices.
+
+    The last axis of `state` indexes basis states; leading axes hold a batch
+    of states. Each state meets u in a product of the very shape it meets
+    alone, so a batch gives bit for bit the states one at a time.
+    """
     k = len(targets)
     bitpos = [m - t for t in targets]  # LSB-based bit of each target qubit
     mask = 0
@@ -65,11 +70,11 @@ def _apply_on_targets(state: np.ndarray, u: np.ndarray, targets: tuple[int, ...]
             if (pattern >> (k - 1 - t_i)) & 1:
                 off |= 1 << bitpos[t_i]
         offsets.append(off)
-    gathered = np.stack([state[bases + off] for off in offsets])
+    gathered = np.stack([state[..., bases + off] for off in offsets], axis=-2)
     transformed = u @ gathered
     out = np.array(state, dtype=complex, copy=True)
     for row, off in enumerate(offsets):
-        out[bases + off] = transformed[row]
+        out[..., bases + off] = transformed[..., row, :]
     return out
 
 
@@ -85,14 +90,16 @@ def simulate(circuit: Circuit, input_state: StateVector) -> StateVector:
 
 
 def circuit_unitary(circuit: Circuit) -> UnitaryMatrix:
-    """Full matrix of the circuit, column by column through `simulate`."""
-    dim = 2 ** circuit.n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[col] = 1.0
-        out[:, col] = simulate(circuit, StateVector(circuit.n_qubits, v)).amplitudes
-    return UnitaryMatrix(out)
+    """Full matrix of the circuit, every column simulated at once.
+
+    Row j of the batch starts as basis state j and ends as column j.
+    """
+    m = circuit.n_qubits
+    check_qubits(m)
+    states = np.eye(2 ** m, dtype=complex)
+    for u, targets in circuit.gates:
+        states = _apply_on_targets(states, u.data, targets, m)
+    return UnitaryMatrix(np.ascontiguousarray(states.T))
 
 
 def _block_permutation(targets: tuple[int, ...], lo: int, w: int) -> np.ndarray:
@@ -122,6 +129,7 @@ def embed_gate(u: UnitaryMatrix, targets: tuple[int, ...], m: int) -> EmbeddedGa
     if hi - lo + 1 == k:
         return EmbeddedGate(u, lo - 1)
     w = hi - lo + 1
+    check_qubits(w)
     p = _block_permutation(targets, lo, w)
     padded = np.kron(u.data, np.eye(2 ** (w - k), dtype=complex))
     return EmbeddedGate(UnitaryMatrix(p.conj().T @ padded @ p), lo - 1)
@@ -140,8 +148,7 @@ def encode(circuit: Circuit) -> Proof:
     columns are chained with cuts, earliest leftmost.
     """
     m = circuit.n_qubits
-    if m > max_qubits():
-        raise PreconditionError(f"{m} qubits exceeds the configured cap")
+    check_qubits(m)
     embedded = [embed_gate(u, targets, m) for u, targets in circuit.gates]
 
     columns: list[list[tuple[UnitaryMatrix, int]]] = []

@@ -29,6 +29,12 @@ def max_qubits() -> int:
         return 16
 
 
+def check_qubits(n: int) -> None:
+    """Refuse, before anything is allocated, a gate or register over the qubit cap."""
+    if n > max_qubits():
+        raise PreconditionError(f"{n} qubits exceeds the configured cap of {max_qubits()}")
+
+
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
@@ -71,6 +77,7 @@ def matmul(a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
 
 def tensor(a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
     """Kronecker product; the first factor takes the lower-numbered qubits."""
+    check_qubits(a.dim_qubits + b.dim_qubits)
     return UnitaryMatrix(np.kron(a.data, b.data))
 
 
@@ -87,9 +94,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits > max_qubits():
-            raise PreconditionError(
-                f"{self.n_qubits} qubits exceeds the configured cap of {max_qubits()}")
+        check_qubits(self.n_qubits)
         v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if v.shape[0] != 2**self.n_qubits:
             raise DimensionError(
@@ -116,15 +121,16 @@ def basis_state(bits: str) -> StateVector:
     return StateVector(len(bits), v)
 
 
-def _apply_at_array(u: np.ndarray, k: int, state: np.ndarray, n: int, offset: int) -> np.ndarray:
-    """Apply a k-qubit gate at qubit positions offset+1..offset+k of n."""
-    t = state.reshape((2,) * n)
-    axes = list(range(offset, offset + k))
-    ut = u.reshape((2,) * (2 * k))
-    moved = np.tensordot(ut, t, axes=(list(range(k, 2 * k)), axes))
-    # tensordot puts the gate's output axes first; restore original order
-    moved = np.moveaxis(moved, list(range(k)), axes)
-    return np.ascontiguousarray(moved).reshape(-1)
+def apply_gate(u: np.ndarray, a: np.ndarray, offset: int) -> np.ndarray:
+    """Apply a k-qubit gate at qubits offset+1..offset+k of an n-qubit array.
+
+    The first axis of `a` indexes the 2^n basis states; any trailing axes
+    are a batch (the columns of a matrix), and each batch entry is
+    transformed alike. Seen as (2^offset, 2^k, rest), the gate acts on the
+    middle axis, so one matmul applies it without materializing
+    I_offset (x) u (x) I_rest.
+    """
+    return np.matmul(u, a.reshape(2**offset, u.shape[0], -1)).reshape(a.shape)
 
 
 def apply_at(u: UnitaryMatrix, register: StateVector, offset: int) -> StateVector:
@@ -133,7 +139,7 @@ def apply_at(u: UnitaryMatrix, register: StateVector, offset: int) -> StateVecto
     if offset < 0 or offset + k > n:
         raise PreconditionError(
             f"gate on {k} qubits at offset {offset} does not fit in {n} qubits")
-    return StateVector(n, _apply_at_array(u.data, k, register.amplitudes, n, offset))
+    return StateVector(n, apply_gate(u.data, register.amplitudes, offset))
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +159,7 @@ _HERMITIAN = {"H", "X", "Y", "Z", "CNOT", "SWAP"}  # I{n} handled separately
 
 
 def identity_gate(n: int) -> UnitaryMatrix:
+    check_qubits(n)
     return UnitaryMatrix(np.eye(2**n, dtype=complex), name=f"I{n}")
 
 

@@ -34,7 +34,7 @@ from . import tokens as tk
 from .errors import CheckFailure, PreconditionError, ProofError, ProofSyntaxError, QmllError
 from .formulas import (Atom, Formula, Par, Tensor, dual, is_modal, parse_formula_stream,
                        print_formula, wrap_modal)
-from .matrices import UnitaryMatrix, gate_by_name, render_rows
+from .matrices import UnitaryMatrix, check_qubits, gate_by_name, render_rows
 from .trees import post_order
 
 Sequent = tuple[Formula, ...]
@@ -478,6 +478,8 @@ def _parse_gate(ts: tk.TokenStream) -> UnitaryMatrix:
         ts.next()
         try:
             return gate_by_name(t.text)
+        except PreconditionError:  # a well-formed name over the qubit cap
+            raise
         except QmllError as e:
             raise ProofSyntaxError(str(e), t.pos) from e
     if t.kind == tk.LP:
@@ -491,6 +493,7 @@ def _parse_gate(ts: tk.TokenStream) -> UnitaryMatrix:
         ts.expect(tk.RP, ProofSyntaxError)
         if not rows:
             raise ProofSyntaxError("empty matrix literal", t.pos)
+        check_qubits((len(rows) - 1).bit_length())
         data = _literal_data(rows, t.pos)
         try:
             return UnitaryMatrix(data)

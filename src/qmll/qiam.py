@@ -24,7 +24,7 @@ from .errors import MachineError, PreconditionError
 from .formulas import (BOX_S, DIA_S, PAR_L, PAR_R, TENS_L, TENS_R, Context, Formula,
                        atoms, contexts_for, depth, dual_context, hole_atom, print_context,
                        print_formula)
-from .matrices import (StateVector, UnitaryMatrix, adjoint, apply_at, max_qubits)
+from .matrices import StateVector, UnitaryMatrix, adjoint, apply_at, apply_gate, check_qubits
 from .proofs import (AxiomRule, CutRule, ParRule, Path, Proof, QRule, conclusion_position,
                      iter_nodes, path_str, premise_source)
 
@@ -74,13 +74,16 @@ class OccurrenceGraph:
 
     def __init__(self, proof: Proof):
         self.proof = proof
-        self.nodes: dict[Path, Proof] = {path: node for path, node in iter_nodes(proof)}
-        self.nesting: dict[Path, int] = {}
-        for path in self.nodes:
-            # modal symbols pushed by the enclosing boxes: one per arity unit
-            self.nesting[path] = sum(
-                node.arity for node in (self.nodes[path[:k]] for k in range(len(path)))
-                if isinstance(node, QRule))
+        order = iter_nodes(proof)
+        self.nodes: dict[Path, Proof] = dict(order)
+        # modal symbols pushed by the enclosing boxes: one per arity unit,
+        # so each node adds its parent's arity to its parent's nesting
+        self.nesting: dict[Path, int] = {(): 0}
+        for path, _ in reversed(order[:-1]):  # parents first; the root is last in post-order
+            parent = path[:-1]
+            above = self.nodes[parent]
+            self.nesting[path] = self.nesting[parent] + (
+                above.arity if isinstance(above, QRule) else 0)
 
     def node(self, path: Path) -> Proof:
         return self.nodes[path]
@@ -210,8 +213,7 @@ def initial_state(graph: OccurrenceGraph, entry_pos: int, ctx: Context,
     if atom.positive:
         raise PreconditionError("entry context must be negative (hole at a co-atom)")
     n = depth(ctx)
-    if n > max_qubits():
-        raise PreconditionError(f"{n} qubits exceeds the configured cap")
+    check_qubits(n)
     if register is not None:
         if register.n_qubits != n:
             raise PreconditionError(
@@ -268,27 +270,19 @@ class SemanticsResult:
     steps: int
 
 
-def _embed(ev: GateEvent, n: int) -> np.ndarray:
-    g = ev.applied().data
-    k = ev.gate.dim_qubits
-    left = np.eye(2 ** ev.offset, dtype=complex)
-    right = np.eye(2 ** (n - ev.offset - k), dtype=complex)
-    return np.kron(np.kron(left, g), right)
-
-
 def semantics_relative(proof: Proof, entry_pos: int, ctx: Context) -> SemanticsResult:
-    """The unitary the proof denotes at the given entry, composed symbolically.
+    """The unitary the proof denotes at the given entry.
 
     Gate events are register-independent, so the run is executed once
-    without a register and the events are multiplied up, latest on the left.
+    without a register; each event's gate is then applied, in run order, to
+    every column of the identity, which leaves the unitary in its place.
     """
     graph = OccurrenceGraph(proof)
     start = initial_state(graph, entry_pos, ctx)
     res = run(graph, start)
-    n = depth(ctx)
-    u = np.eye(2 ** n, dtype=complex)
+    u = np.eye(2 ** depth(ctx), dtype=complex)
     for ev in res.events:
-        u = _embed(ev, n) @ u
+        u = apply_gate(ev.applied().data, u, ev.offset)
     return SemanticsResult(entry_pos, ctx, res.final.pos, res.final.ctx,
                            UnitaryMatrix(u), res.events, res.steps)
 

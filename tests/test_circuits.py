@@ -55,6 +55,31 @@ def random_circuit(rng, m, depth):
 
 # --- simulate: the independent oracle ------------------------------------
 
+def test_circuit_unitary_is_column_by_column_simulate_bit_for_bit():
+    rng = random.Random(61)
+    noncontiguous = 0
+    for _ in range(120):
+        m = rng.randint(1, 6)
+        gates = []
+        for _ in range(rng.randint(0, 10)):
+            k = rng.randint(1, min(3, m))
+            targets = tuple(sorted(rng.sample(range(1, m + 1), k)))
+            noncontiguous += targets[-1] - targets[0] + 1 > k
+            gates.append((rand_unitary(rng, k), targets))
+        c = Circuit(m, tuple(gates))
+        dim = 2**m
+        columns = [simulate(c, StateVector(m, np.eye(dim)[:, j])).amplitudes
+                   for j in range(dim)]
+        assert circuit_unitary(c).data.tobytes() == np.stack(columns, axis=1).tobytes()
+    assert noncontiguous > 50
+
+
+def test_circuit_unitary_respects_the_qubit_cap(monkeypatch):
+    monkeypatch.setenv("QMLL_MAX_QUBITS", "3")
+    with pytest.raises(PreconditionError):
+        circuit_unitary(Circuit(4, ()))
+
+
 def test_simulate_empty_circuit():
     c = Circuit(2, ())
     v = basis_state("10")

@@ -157,3 +157,25 @@ def test_context_errors_exit_1(tmp_path, capsys, command, text, extra, message):
     f = write(tmp_path, "p.proof", text)
     assert main([command, f, *extra]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+OVER_CAP = [  # (command, proof): each builds a 4-qubit gate first
+    ("normalize", "(ax [] [] [] [] a)"),  # eta expansion: I4
+    ("normalize", "(q 2 CNOT (q 2 CNOT (ax a)))"),  # QContract: CNOT (x) CNOT
+    ("check", "(q 4 I4 (ax a))"),
+    ("check", "(q 4 (mat " + " ".join(
+        "[" + ",".join("[1,0]" if c == r else "[0,0]" for c in range(16)) + "]"
+        for r in range(16)) + ") (ax a))"),
+]
+
+
+@pytest.mark.parametrize("command,text", OVER_CAP)
+def test_gates_over_the_qubit_cap_exit_1(tmp_path, capsys, monkeypatch, command, text):
+    f = write(tmp_path, "p.proof", text)
+    assert main(["check", f]) == 0  # well-formed under the default cap
+    capsys.readouterr()
+    monkeypatch.setenv("QMLL_MAX_QUBITS", "3")
+    assert main([command, f]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 4 qubits exceeds the configured cap of 3\n"

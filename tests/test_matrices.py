@@ -6,6 +6,7 @@ import pytest
 from qmll import (DimensionError, PreconditionError, StateVector, UnitaryMatrix, adjoint,
                   apply_at, approx_equal, basis_state, gate_by_name, identity_gate, matmul,
                   tensor, zero_state)
+from qmll.matrices import apply_gate
 
 H = gate_by_name("H")
 X = gate_by_name("X")
@@ -177,3 +178,40 @@ def test_named_gates():
     assert gate_by_name("SWAP").dim_qubits == 2
     with pytest.raises(Exception):
         gate_by_name("FOO")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_apply_gate_matches_brute_force_at_every_offset_and_batch_width(n):
+    rng = random.Random(40 + n)
+    rs = np.random.RandomState(n)
+    for k in range(1, n + 1):
+        for offset in range(n - k + 1):
+            u = rand_unitary(rng, k).data
+            dense = brute_force_embed(u, n, offset)
+            for width in (1, 3, 2**n):
+                a = rs.normal(size=(2**n, width)) + 1j * rs.normal(size=(2**n, width))
+                got = apply_gate(u, a, offset)
+                assert got.shape == a.shape
+                assert np.max(np.abs(got - dense @ a)) <= 1e-12
+            v = a[:, 0].copy()  # a bare vector is a batch of one
+            assert np.max(np.abs(apply_gate(u, v, offset) - dense @ v)) <= 1e-12
+
+
+def test_apply_gate_on_the_identity_is_the_embedding():
+    rng = random.Random(44)
+    u = rand_unitary(rng, 2).data
+    for offset in range(3):
+        got = apply_gate(u, np.eye(16, dtype=complex), offset)
+        assert np.max(np.abs(got - brute_force_embed(u, 4, offset))) <= 1e-12
+
+
+def test_gates_over_the_cap_are_refused_before_allocation(monkeypatch):
+    monkeypatch.setenv("QMLL_MAX_QUBITS", "3")
+    assert identity_gate(3).dim_qubits == 3
+    with pytest.raises(PreconditionError, match="4 qubits exceeds the configured cap of 3"):
+        identity_gate(4)
+    with pytest.raises(PreconditionError):
+        gate_by_name("I4")
+    assert tensor(I1, identity_gate(2)).dim_qubits == 3
+    with pytest.raises(PreconditionError):
+        tensor(CNOT, CNOT)

@@ -1,17 +1,19 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmll import (MachineError, PreconditionError, StateVector, basis_state, normalize,
-                  parse_proof, semantics_relative, zero_state)
+from qmll import (AxiomRule, MachineError, PreconditionError, QRule, StateVector, basis_state,
+                  circuit_from_json, encode, identity_gate, normalize, parse_proof,
+                  semantics_relative, zero_state)
 from qmll.cutelim import compose_perms, find_redexes, step
 from qmll.formulas import BOX_S, HOLE, PAR_L, TENS_L, Atom, Context, depth, print_context
 from qmll.matrices import approx_equal, gate_by_name
 from qmll.qiam import (MachineState, OccurrenceGraph, Stuck, extract_gate_sequence,
                        initial_state, negative_entries, run, semantics_relative, step_machine)
 
-from gen import random_corpus
+from gen import random_circuit, random_corpus
 
 FIG4 = ("(cut 2 1 (cut 2 1 (q 1 I1 (q 1 H (ax a))) (q 1 X (q 1 Z (ax a)))) "
         "(q 2 CNOT (ax a)))")
@@ -287,3 +289,104 @@ def test_step_machine_stuck_reasons(reason):
     res = step_machine(OccurrenceGraph(parse_proof(text)), state)
     assert isinstance(res, Stuck)
     assert (res.reason, res.state) == (reason, state)
+
+
+# ---------------------------------------------------------------------------
+# the gate kernel against the code it replaced, kept here as the reference:
+# semantics multiplied a dense Kronecker embedding per event, and run
+# applied each gate to the register with tensordot
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = {"deep-3q-120g": (7001, 3, 120), "wide-7q-30g": (7002, 7, 30)}  # as test_golden
+
+
+def golden_proofs():
+    """Both golden circuits, as encoded and as their recorded normal forms."""
+    out = []
+    for name, case in sorted(GOLDEN_CASES.items()):
+        out.append(encode(circuit_from_json(random_circuit(*case))))
+        out.append(parse_proof((GOLDEN / f"{name}.nf").read_text()))
+    return out
+
+
+def ref_embed_semantics(proof, entry_pos, ctx):
+    graph = OccurrenceGraph(proof)
+    res = run(graph, initial_state(graph, entry_pos, ctx))
+    n = depth(ctx)
+    u = np.eye(2 ** n, dtype=complex)
+    for ev in res.events:
+        k = ev.gate.dim_qubits
+        left = np.eye(2 ** ev.offset, dtype=complex)
+        right = np.eye(2 ** (n - ev.offset - k), dtype=complex)
+        u = np.kron(np.kron(left, ev.applied().data), right) @ u
+    return u
+
+
+def ref_tensordot_apply(u, k, state, n, offset):
+    t = state.reshape((2,) * n)
+    axes = list(range(offset, offset + k))
+    moved = np.tensordot(u.reshape((2,) * (2 * k)), t, axes=(list(range(k, 2 * k)), axes))
+    moved = np.moveaxis(moved, list(range(k)), axes)
+    return np.ascontiguousarray(moved).reshape(-1)
+
+
+def test_semantics_equals_the_dense_embedding_composition():
+    """Every entry of the acceptance corpus and of both golden circuits.
+
+    The sums are the same, term for term, so the values are equal exactly.
+    Only the sign of an exact zero may differ: the dense product also added
+    the embedding's structural zeros, and `np.kron` multiplied every gate
+    entry by 1+0j (in the corpus one entry of one proof reads -0 there, +0
+    here). The golden circuits agree byte for byte.
+    """
+    entries = 0
+    for p in random_corpus(20260811, 1000):
+        for k, ctx in negative_entries(p):
+            got = semantics_relative(p, k, ctx).unitary.data
+            assert np.array_equal(got, ref_embed_semantics(p, k, ctx))
+            entries += 1
+    assert entries > 1000
+    for p in golden_proofs():
+        k, ctx = entry_of(p)
+        got = semantics_relative(p, k, ctx).unitary.data
+        assert got.tobytes() == ref_embed_semantics(p, k, ctx).tobytes()
+
+
+def test_run_matches_the_tensordot_path():
+    rng = random.Random(12)
+    proofs = random_corpus(20260811, 300) + golden_proofs()
+    for p in proofs:
+        graph = OccurrenceGraph(p)
+        for k, ctx in negative_entries(p):
+            n = depth(ctx)
+            reg = rand_register(rng, n)
+            res = run(graph, initial_state(graph, k, ctx, reg))
+            want = reg.amplitudes
+            for ev in res.events:
+                want = ref_tensordot_apply(ev.applied().data, ev.gate.dim_qubits, want, n,
+                                           ev.offset)
+            assert np.max(np.abs(res.final.register.amplitudes - want), initial=0) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# OccurrenceGraph nesting against the sum over ancestors it replaced
+
+def ref_nesting(graph):
+    return {path: sum(node.arity for node in (graph.nodes[path[:k]] for k in range(len(path)))
+                      if isinstance(node, QRule))
+            for path in graph.nodes}
+
+
+def test_nesting_equals_the_sum_over_ancestors():
+    for p in random_corpus(20260811, 1000) + golden_proofs():
+        graph = OccurrenceGraph(p)
+        assert graph.nesting == ref_nesting(graph)
+
+
+def test_nesting_on_a_deep_chain():
+    p = AxiomRule(Atom("a"))
+    for depth_now in range(800):
+        p = QRule(1 + depth_now % 2, identity_gate(1 + depth_now % 2), p)
+    graph = OccurrenceGraph(p)
+    assert graph.nesting == ref_nesting(graph)
+    assert graph.nesting[(0,) * 800] == 1200

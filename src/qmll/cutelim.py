@@ -23,20 +23,32 @@ suspends another, so divergent picks rejoin in one step. The remaining
 families can spawn higher-priority work when they fire, so they are
 offered one instance at a time.
 
-A step costs the nodes it builds, not the size of the proof. `step` shares
-every subtree off the redex path with its input and rebuilds only the path.
 Each node carries a `Summary` (rule count, weight, the redex families in
 its subtree, its own redex), computed the first time it is asked for and
-stored on the frozen node, so summarizing a reduct visits only the nodes
-the step built. `weight`, `rule_count` and the default step bound read the
-root's summary, and `find_redexes` enters only the subtrees that hold the
-offered family. A rebuilt node whose new premise concludes the very same
-formula objects keeps its validated conclusion; every other node is built
-by its checking constructor, and keeps the old formula objects when its
-conclusion comes out equal, so its own parent is copied in turn
-(`proofs.with_child`). Every step is still checked to lower the weight.
-Summaries stay lazy because parsing and encoding build many proofs that
-are never normalized, and would pay for them at construction.
+stored on the frozen node, so summarizing a new proof visits only the
+nodes built since. `weight`, `rule_count` and the default step bound read
+the root's summary, and `find_redexes` and `first_redex` enter only the
+subtrees that hold the offered family. Summaries stay lazy because parsing
+and encoding build many proofs that are never normalized, and would pay
+for them at construction.
+
+`step` fires one redex and rebuilds the path above it, sharing every
+subtree off that path with its input; the random strategy runs on it. The
+leftmost loop of `normalize` instead holds the proof as a zipper: a focus
+subtree under a stack of parent frames. It fires at the focus and moves
+the focus to the next leftmost redex, so a step costs the distance between
+consecutive redexes, not their depth. A parent is rebuilt only when the
+focus leaves it upwards, and the root once, at the end. A step's
+permutation is pushed into the frames only until it becomes the identity,
+and the frames keep running ORs of the family masks on either side of the
+path, so finding the next redex's family and its side of the focus is
+O(1). The weight is tracked by delta and still checked to fall on every
+step; the root's summary must agree with it at the end.
+
+A rebuilt node whose new premise concludes the very same formula objects
+keeps its validated conclusion; every other node is built by its checking
+constructor, and keeps the old formula objects when its conclusion comes
+out equal, so its own parent is copied in turn (`proofs.with_child`).
 """
 
 from __future__ import annotations
@@ -99,10 +111,6 @@ class ReductionTrace:
 # redex enumeration
 
 
-def _root_contractible(p: Proof) -> bool:
-    return isinstance(p, QRule) and not p.flip and isinstance(p.sub, QRule)
-
-
 def _axiom_elim_perm(node: CutRule, side: str) -> Perm:
     """Where each occurrence goes when the axiom on `side` and the cut vanish.
 
@@ -118,9 +126,8 @@ def _axiom_elim_perm(node: CutRule, side: str) -> Perm:
     return tuple(perm)
 
 
-def _cut_redex(node: CutRule) -> tuple[str, tuple] | None:
-    """The cut's own redex as (kind, data), or None."""
-    L, R, i, j = node.left, node.right, node.i, node.j
+def _cut_redex(i: int, j: int, L: Proof, R: Proof) -> tuple | None:
+    """The own redex of a cut at (i, j) over premises L and R, as (kind, data), or None."""
     right_ax, left_ax = isinstance(R, AxiomRule), isinstance(L, AxiomRule)
     if right_ax or left_ax:
         # an axiom on the right, unless only the left one's elimination keeps
@@ -174,6 +181,20 @@ def _bit(own: tuple | None) -> int:
     return 0 if own is None else 1 << own[0]
 
 
+def _own_over(node: Proof, k: int, child: Proof) -> tuple | None:
+    """The own redex of a quantum rule or cut `node` with `child` as its premise k.
+
+    Returned as (family, kind, data), or None.
+    """
+    if type(node) is QRule:
+        return _QCONTRACT if not node.flip and type(child) is QRule else None
+    if type(node) is CutRule:
+        L, R = (child, node.right) if k == 0 else (node.left, child)
+        red = _cut_redex(node.i, node.j, L, R)
+        return None if red is None else (_FAMILY[red[0]],) + red
+    return None
+
+
 def _summarize(node: Proof, subs: list[Summary]) -> Summary:
     t = type(node)
     if t is AxiomRule:
@@ -182,7 +203,7 @@ def _summarize(node: Proof, subs: list[Summary]) -> Summary:
         return Summary(1, 2 * modal_chain(node.formula) + 1, 0, _bit(own), own)
     if t is QRule:
         (s,) = subs
-        own = _QCONTRACT if _root_contractible(node) else None
+        own = _own_over(node, 0, node.sub)
         return Summary(s.rules + 1, s.weight + 1, s.mult, s.mask | _bit(own), own)
     if t is ParRule:
         (s,) = subs
@@ -194,8 +215,7 @@ def _summarize(node: Proof, subs: list[Summary]) -> Summary:
     # a cut weighs its formula's size, scaled by the multiplicative rules above it
     m = l.mult + r.mult
     w = l.weight + r.weight + 3 ** size(node.cut_formula) * (1 + m)
-    red = _cut_redex(node)
-    own = None if red is None else (_FAMILY[red[0]],) + red
+    own = _own_over(node, 0, node.left)
     return Summary(l.rules + r.rules + 1, w, m, l.mask | r.mask | _bit(own), own)
 
 
@@ -232,6 +252,34 @@ def find_redexes(p: Proof) -> list[Redex]:
             if kids[k].summary.mask & bit:
                 stack.append((kids[k], path + (k,), False))
     return out
+
+
+def _leftmost(node: Proof, bit: int) -> tuple[list[tuple[Proof, int]], Proof]:
+    """The way from `node` down to its first node, in post-order, whose own redex is in `bit`.
+
+    `node`'s mask must hold `bit`. Each level enters the first child whose
+    mask holds it; a node none of whose children do is the hit. Returns the
+    (ancestor, child index) pairs passed on the way, and the hit.
+    """
+    way: list[tuple[Proof, int]] = []
+    while True:
+        for k, c in enumerate(children(node)):
+            if c.summary.mask & bit:
+                way.append((node, k))
+                node = c
+                break
+        else:
+            return way, node
+
+
+def first_redex(p: Proof) -> Redex | None:
+    """`find_redexes(p)[0]`, or None: it walks one path and stops at the first hit."""
+    mask = summary(p).mask
+    if not mask:
+        return None
+    way, node = _leftmost(p, mask & -mask)
+    _, kind, data = node.summary.own
+    return Redex(kind, tuple(k for _, k in way), data)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +350,7 @@ def _fire(node: Proof, redex: Redex) -> tuple[Proof, Perm]:
         return QRule(n, identity_gate(n), AxiomRule(dual(core))), (2, 1)
 
     if kind == "QContract":
-        if not (_root_contractible(node) and isinstance(node, QRule)):
+        if type(node) is not QRule or _own_over(node, 0, node.sub) is None:
             _stale("expected a contractible quantum pair")
         inner = node.sub
         merged = QRule(inner.arity + node.arity, tensor(inner.gate, node.gate),
@@ -434,21 +482,25 @@ def normalize(p: Proof, strategy: str = "leftmost-innermost", seed: int = 0,
 
     Every step must strictly lower the weight, which is checked on each
     one, so the weight of `p` bounds the number of steps; it is the default
-    `bound`. Exceeding the bound raises `MachineError`.
+    `bound`. Exceeding the bound raises `MachineError`. The leftmost
+    strategy runs on a zipper (`_Zipper`); the random one fires a random
+    pick of `find_redexes` with `step`.
     """
     if strategy not in ("leftmost-innermost", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    limit = bound if bound is not None else weight(p)
+    if strategy == "leftmost-innermost":
+        return _Zipper(p).normalize(limit)
     rng = random.Random(seed)
     cur = p
     w_cur = weight(cur)
-    limit = bound if bound is not None else w_cur
     steps: list[TraceStep] = []
     perms: list[Perm] = []
     while True:
         redexes = find_redexes(cur)
         if not redexes:
             return ReductionTrace(steps, cur, w_cur, perms)
-        r = redexes[0] if strategy == "leftmost-innermost" else rng.choice(redexes)
+        r = rng.choice(redexes)
         nxt, sigma = step(cur, r)
         w_nxt = weight(nxt)
         if w_nxt >= w_cur:
@@ -458,6 +510,136 @@ def normalize(p: Proof, strategy: str = "leftmost-innermost", seed: int = 0,
         cur, w_cur = nxt, w_nxt
         if len(steps) > limit:
             raise MachineError("normalization exceeded its step bound")
+
+
+# ---------------------------------------------------------------------------
+# the leftmost loop on a zipper
+
+
+class _Frame:
+    """A parent on the zipper's path, and what the path's other side holds down to it.
+
+    `node` may still hold an earlier version of child k: it is brought up to
+    date only when the focus leaves it upwards. Its position arguments are
+    always current, because a step's permutation is pushed into them, and
+    `own` is its own redex over the current child. `left` is the OR of the
+    family masks of everything left of the path at this frame and above,
+    `right` the same for what lies right of it, ancestors' own redexes
+    included; `scale` sums 3^size(cut formula) over the cuts among them.
+    """
+
+    __slots__ = ("node", "k", "own", "rsib", "left", "right", "scale")
+
+    def __init__(self, node: Proof, k: int, above: _Frame | None):
+        kids = children(node)
+        self.node, self.k, self.own = node, k, node.summary.own
+        self.rsib = kids[1].summary.mask if k == 0 and len(kids) == 2 else 0
+        lsib = kids[0].summary.mask if k else 0
+        scale = 3 ** size(node.cut_formula) if type(node) is CutRule else 0
+        if above is None:
+            self.left, self.right, self.scale = lsib, 0, scale
+        else:
+            self.left, self.right = above.left | lsib, above.right
+            self.scale = above.scale + scale
+        self.right |= self.rsib | _bit(self.own)
+
+
+class _Zipper:
+    """A proof held as a focus subtree under a stack of frames (Huet, "The Zipper", 1997).
+
+    The leftmost loop fires at the focus and then moves it to the next
+    leftmost redex, so a step costs the way between consecutive redexes
+    rather than the depth of the redex. The frames' masks say whether that
+    redex lies left of the focus, inside it, or after it; the weight and
+    the rule count are tracked by delta.
+    """
+
+    def __init__(self, p: Proof):
+        s = summary(p)
+        self.focus, self.frames, self.path = p, [], []
+        self.weight, self.rules, self.width = s.weight, s.rules, len(p.conclusion)
+
+    def up(self) -> None:
+        """Move the focus to its parent, which gets the focus as child k."""
+        fr = self.frames.pop()
+        self.path.pop()
+        node = fr.node
+        if children(node)[fr.k] is not self.focus:
+            node = with_child(node, fr.k, self.focus)
+            summary(node)
+        self.focus = node
+
+    def seek(self) -> Redex | None:
+        """Move the focus to the leftmost offered redex and return it, or None if there is none."""
+        frames = self.frames
+        mask = self.focus.summary.mask
+        if frames:
+            mask |= frames[-1].left | frames[-1].right
+        if not mask:
+            return None
+        bit = mask & -mask
+        while frames and (frames[-1].left & bit or not self.focus.summary.mask & bit):
+            self.up()
+        way, self.focus = _leftmost(self.focus, bit)
+        for node, k in way:
+            frames.append(_Frame(node, k, frames[-1] if frames else None))
+            self.path.append(k)
+        _, kind, data = self.focus.summary.own
+        return Redex(kind, tuple(self.path), data)
+
+    def fire(self, r: Redex) -> Perm:
+        """Fire `r` at the focus; returns the root conclusion permutation.
+
+        The permutation is pushed into the frames only until it becomes the
+        identity. The root weight changes by the focus's change in weight
+        plus its change in multiplicative rules times each cut ancestor's
+        3^size, which is the frames' `scale`.
+        """
+        old = self.focus.summary
+        new, sigma = _fire(self.focus, r)
+        s = summary(new)
+        frames = self.frames
+        d = len(frames)
+        scale = frames[-1].scale if frames else 0
+        w = self.weight + s.weight - old.weight + (s.mult - old.mult) * scale
+        if w >= self.weight:
+            raise MachineError(f"weight failed to decrease on {r}: {self.weight} -> {w}")
+        self.weight, self.rules, self.focus = w, self.rules + s.rules - old.rules, new
+        child = new
+        while d and sigma != _identity(len(sigma)):
+            d -= 1
+            fr = frames[d]
+            child, sigma = _rebuild(fr.node, fr.k, child, sigma)
+            fr.node, fr.own = child, summary(child).own
+        root_sigma = sigma if d == 0 else _identity(self.width)
+        if d == len(frames):  # nothing rebuilt: only the parent's premise changed
+            if not d:
+                return root_sigma
+            d -= 1
+            frames[d].own = _own_over(frames[d].node, frames[d].k, new)
+        right = frames[d - 1].right if d else 0
+        for fr in frames[d:]:
+            right |= fr.rsib | _bit(fr.own)
+            fr.right = right
+        return root_sigma
+
+    def normalize(self, limit: int) -> ReductionTrace:
+        """Fire leftmost redexes until none is left, then build the root."""
+        steps: list[TraceStep] = []
+        perms: list[Perm] = []
+        while (r := self.seek()) is not None:
+            w, rules = self.weight, self.rules
+            perms.append(self.fire(r))
+            steps.append(TraceStep(r, rules, w))
+            if len(steps) > limit:
+                raise MachineError("normalization exceeded its step bound")
+        while self.frames:
+            self.up()
+        s = summary(self.focus)
+        if (s.weight, s.rules) != (self.weight, self.rules):
+            raise MachineError(f"tracked weight {self.weight} and rule count {self.rules} "
+                               f"differ from the normal form's {s.weight} and {s.rules}")
+        return ReductionTrace(steps, self.focus, self.weight, perms)
 
 
 def canonical_form(p: Proof) -> Proof:

@@ -297,11 +297,6 @@ def context_along(f: Formula, segments: list[str]) -> Context:
     return Context(tuple(steps))
 
 
-def polarity_for(c: Context, f: Formula) -> bool:
-    """True if `c` is a positive context for `f` (hole holds a positive atom)."""
-    return hole_atom(c, f).positive
-
-
 def contexts_for(f: Formula) -> list[tuple[Context, bool]]:
     """One (context, polarity) per atom occurrence of `f`, in leaf order."""
     out: list[tuple[Context, bool]] = []

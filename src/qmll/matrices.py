@@ -171,21 +171,24 @@ def gate_by_name(name: str) -> UnitaryMatrix:
     raise QmllError(f"unknown gate name {name!r}")
 
 
-def gate_names() -> list[str]:
-    return sorted(_GATES) + ["I{n}"]
-
-
 def f17(x: float) -> str:
     """Render a double with 17 significant digits (lossless round trip)."""
     return format(float(x), ".17g")
 
 
 def render_rows(a: np.ndarray) -> list[str]:
-    """Each row of a complex matrix, or a vector as one row, as `[[re,im],...]` in f17."""
-    parts = np.ascontiguousarray(a, dtype=complex).view(np.float64).tolist()
-    return [_render_row(parts)] if a.ndim == 1 else [_render_row(row) for row in parts]
+    """Each row of a complex matrix, or a vector as one row, as `[[re,im],...]` in f17.
 
-
-def _render_row(parts: list[float]) -> str:
-    pairs = iter(parts)
-    return "[" + ",".join(f"[{f17(re)},{f17(im)}]" for re, im in zip(pairs, pairs)) + "]"
+    A circuit's matrix holds a few distinct doubles many times over, so each
+    distinct bit pattern is formatted once; keying by bits keeps -0.0 apart
+    from 0.0.
+    """
+    parts = np.ascontiguousarray(a, dtype=complex).view(np.float64).ravel()
+    bits = parts.view(np.int64).tolist()
+    words = {b: f17(x) for b, x in dict(zip(bits, parts.tolist())).items()}
+    texts = map(words.__getitem__, bits)
+    entries = [f"[{re},{im}]" for re, im in zip(texts, texts)]
+    if a.ndim == 1:
+        return ["[" + ",".join(entries) + "]"]
+    w = a.shape[1]
+    return ["[" + ",".join(entries[r * w:(r + 1) * w]) + "]" for r in range(a.shape[0])]

@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 
@@ -7,8 +8,9 @@ import pytest
 from qmll import (circuit_from_json, check, encode, find_redexes, normalize, parse_proof,
                   print_proof, proofs_equal, step, weight)
 from qmll import cutelim
-from qmll.cutelim import Redex, _axiom_elim_perm, canonical_form, equal_modulo_representation
-from qmll.errors import StaleRedexError
+from qmll.cutelim import (Redex, TraceStep, _axiom_elim_perm, canonical_form,
+                          equal_modulo_representation, first_redex, summary)
+from qmll.errors import MachineError, StaleRedexError
 from qmll.formulas import Atom, leading_run, modal_chain
 from qmll.matrices import approx_equal, gate_by_name, identity_gate
 from qmll.proofs import (AxiomRule, CutRule, ParRule, QRule, TensorRule, children, iter_nodes,
@@ -584,3 +586,103 @@ def test_step_permutations_match_hand_written_reference_on_golden_circuits(seed,
     assert_steps_match_reference(p, "leftmost-innermost")
     assert_steps_match_reference(p, "random", seed=1)
     assert_steps_match_reference(p, "random", seed=2)
+
+
+# ---------------------------------------------------------------------------
+# the zipper loop against the loop it replaced: find_redexes, then step
+
+
+GOLDEN_CIRCUITS = [(7001, 3, 120), (7002, 7, 30)]  # as in test_golden.py
+
+
+@functools.cache
+def differential_corpus():
+    return random_corpus(20260811, 1000)
+
+
+def leftmost_by_step(p):
+    """normalize's leftmost loop as it ran on whole proofs: its trace steps, perms and proofs."""
+    cur, w = p, weight(p)
+    steps, perms, proofs = [], [], [p]
+    while redexes := find_redexes(cur):
+        cur_next, sigma = step(cur, redexes[0])
+        steps.append(TraceStep(redexes[0], rule_count(cur), w))
+        perms.append(sigma)
+        cur, w = cur_next, weight(cur_next)
+        proofs.append(cur)
+    return steps, perms, proofs, w
+
+
+def assert_zipper_matches_step_loop(p):
+    trace = normalize(p)
+    steps, perms, proofs, w = leftmost_by_step(p)
+    assert trace.steps == steps
+    assert trace.perms == perms
+    assert trace.final_weight == w
+    assert proofs_equal(trace.final, proofs[-1], gate_tol=0)
+
+
+def test_zipper_matches_step_loop_on_corpus():
+    for p in differential_corpus():
+        assert_zipper_matches_step_loop(p)
+
+
+@pytest.mark.parametrize("seed,qubits,gates", GOLDEN_CIRCUITS)
+def test_zipper_matches_step_loop_on_golden_circuits(seed, qubits, gates):
+    assert_zipper_matches_step_loop(encode(circuit_from_json(random_circuit(seed, qubits, gates))))
+
+
+def test_first_redex_is_the_first_offered_on_corpus():
+    for p in differential_corpus():
+        assert first_redex(p) == (find_redexes(p) or [None])[0]
+
+
+@pytest.mark.parametrize("seed,qubits,gates", GOLDEN_CIRCUITS)
+def test_first_redex_is_the_first_offered_along_golden_normalizations(seed, qubits, gates):
+    p = encode(circuit_from_json(random_circuit(seed, qubits, gates)))
+    _, _, proofs, _ = leftmost_by_step(p)
+    for cur in proofs:
+        assert first_redex(cur) == (find_redexes(cur) or [None])[0]
+
+
+def summaries_per_step(monkeypatch, seed, gates):
+    """Summaries computed per leftmost step, the input's own aside."""
+    p = encode(circuit_from_json(random_circuit(seed, 3, gates)))
+    summary(p)
+    calls = 0
+    real = cutelim._summarize
+
+    def counting(node, subs):
+        nonlocal calls
+        calls += 1
+        return real(node, subs)
+
+    with monkeypatch.context() as m:
+        m.setattr(cutelim, "_summarize", counting)
+        steps = len(normalize(p).steps)
+    return calls / steps
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_leftmost_step_work_does_not_grow_with_depth(monkeypatch, seed):
+    # redexes of a 480-gate column sit four times as deep as those of a
+    # 120-gate one; rebuilding the path above each would cost four times as much
+    assert summaries_per_step(monkeypatch, seed, 480) <= 1.5 * summaries_per_step(
+        monkeypatch, seed, 120)
+
+
+def test_a_tracked_weight_that_drifts_is_caught(monkeypatch):
+    # the multiplicative principal step under the par drops two multiplicative
+    # rules; a scale that counted the par as a cut would track a weight the
+    # built normal form does not have
+    p = parse_proof("(par 1 2 (cut 1 3 (par 2 1 (ax a)) (tensor 2 2 (ax ~a) (ax a))))")
+    assert normalize(p).final_weight == 2
+    real = cutelim._Frame.__init__
+
+    def skewed(self, node, k, above):
+        real(self, node, k, above)
+        self.scale += 1
+
+    monkeypatch.setattr(cutelim._Frame, "__init__", skewed)
+    with pytest.raises(MachineError, match="tracked weight"):
+        normalize(p)

@@ -6,7 +6,7 @@ import pytest
 from qmll import (DimensionError, PreconditionError, StateVector, UnitaryMatrix, adjoint,
                   apply_at, approx_equal, basis_state, gate_by_name, identity_gate, matmul,
                   tensor, zero_state)
-from qmll.matrices import apply_gate
+from qmll.matrices import apply_gate, f17, render_rows
 
 H = gate_by_name("H")
 X = gate_by_name("X")
@@ -215,3 +215,27 @@ def test_gates_over_the_cap_are_refused_before_allocation(monkeypatch):
     assert tensor(I1, identity_gate(2)).dim_qubits == 3
     with pytest.raises(PreconditionError):
         tensor(CNOT, CNOT)
+
+
+def render_rows_per_entry(a):
+    """`render_rows` as one f17 call per double, the reference for its formatting table."""
+    rows = [a] if a.ndim == 1 else list(a)
+    return ["[" + ",".join(f"[{f17(z.real)},{f17(z.imag)}]" for z in row) + "]" for row in rows]
+
+
+def test_render_rows_matches_per_entry_formatting_and_keeps_signed_zeros():
+    rng = np.random.default_rng(5)
+    signed = np.array([0.0, -0.0, 0.5, -0.5, 1.0, 1e-300, -1e-300])
+    for shape in [(1, 1), (2, 2), (4, 4), (8, 8), (3,), (16,)]:
+        a = rng.choice(signed, size=shape + (2,)).view(complex)[..., 0]
+        assert render_rows(a) == render_rows_per_entry(a)
+    assert np.signbit(a.real).any() and np.signbit(a.imag).any()
+    text = "".join(render_rows(a))
+    assert "[-0," in text and "[0," in text
+    z = np.array([[0.0, -0.0], [complex(-0.0, 0.0), complex(0.0, -0.0)]])
+    assert render_rows(z) == ["[[0,0],[-0,0]]", "[[-0,0],[0,-0]]"]
+    h = np.kron(H.data, np.eye(8))
+    assert render_rows(h) == render_rows_per_entry(h)
+    u = rand_unitary(random.Random(3), 3).data
+    assert render_rows(u) == render_rows_per_entry(u)
+    assert render_rows(u[2]) == render_rows_per_entry(u[2])

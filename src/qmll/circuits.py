@@ -102,26 +102,13 @@ def circuit_unitary(circuit: Circuit) -> UnitaryMatrix:
     return UnitaryMatrix(np.ascontiguousarray(states.T))
 
 
-def _block_permutation(targets: tuple[int, ...], lo: int, w: int) -> np.ndarray:
-    """Permutation on a w-qubit block moving the targets to the leading slots."""
-    local = [t - lo + 1 for t in targets]
-    order = local + [x for x in range(1, w + 1) if x not in local]
-    dim = 2 ** w
-    p = np.zeros((dim, dim), dtype=complex)
-    for src in range(dim):
-        dst = 0
-        for r, q in enumerate(order):
-            bit = (src >> (w - q)) & 1
-            dst |= bit << (w - 1 - r)
-        p[dst, src] = 1.0
-    return p
-
-
 def embed_gate(u: UnitaryMatrix, targets: tuple[int, ...], m: int) -> EmbeddedGate:
     """Express a gate with arbitrary targets as a contiguous-block gate.
 
     Contiguous targets pass through unchanged; otherwise the gate is
-    conjugated by a qubit permutation of the minimal covering block.
+    conjugated by the qubit permutation pi of the minimal covering block
+    that moves the targets to its leading slots: entry (i, j) of the result
+    is entry (pi(i), pi(j)) of the gate padded with the identity.
     """
     Circuit(m, ((u, targets),))  # reuse target validation
     k = u.dim_qubits
@@ -130,9 +117,14 @@ def embed_gate(u: UnitaryMatrix, targets: tuple[int, ...], m: int) -> EmbeddedGa
         return EmbeddedGate(u, lo - 1)
     w = hi - lo + 1
     check_qubits(w)
-    p = _block_permutation(targets, lo, w)
+    local = [t - lo for t in targets]
+    order = local + [q for q in range(w) if q not in local]
+    src = np.arange(2 ** w)
+    pi = np.zeros_like(src)
+    for r, q in enumerate(order):
+        pi |= ((src >> (w - 1 - q)) & 1) << (w - 1 - r)
     padded = np.kron(u.data, np.eye(2 ** (w - k), dtype=complex))
-    return EmbeddedGate(UnitaryMatrix(p.conj().T @ padded @ p), lo - 1)
+    return EmbeddedGate(UnitaryMatrix(padded[np.ix_(pi, pi)]), lo - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ from .proofs import Proof, check, mll_axiom_link_matrix, parse_proof, print_proo
 from .qiam import OccurrenceGraph, initial_state, negative_entries, run, semantics_relative
 
 
+class InputError(ValueError):
+    """A command-line value of the wrong shape; exits 2, as malformed JSON does."""
+
+
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -65,7 +69,10 @@ def _parse_state(arg: str | None, n: int) -> StateVector:
         label = arg.strip("|>")
         return basis_state(label)
     data = json.loads(arg)
-    amps = [complex(e[0], e[1]) for e in data]
+    try:
+        amps = [complex(re, im) for re, im in data]
+    except (TypeError, ValueError) as e:
+        raise InputError(f"--input must be a JSON list of [re,im] pairs: {e}") from e
     return StateVector(n, np.array(amps, dtype=complex))
 
 
@@ -199,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     except QmllError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ class SyntaxLocationError(QmllError):
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at offset {pos})")
+        self.message = message
         self.pos = pos
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import tokens as tk
-from .errors import FormulaSyntaxError, QmllError
+from .errors import FormulaSyntaxError, QmllError, SyntaxLocationError
 from .trees import memo_fold
 
 
@@ -143,18 +143,25 @@ def atoms(f: Formula) -> list[Atom]:
 
 
 def print_formula(f: Formula) -> str:
-    match f:
-        case Atom(name, pos):
-            return name if pos else "~" + name
-        case Par(l, r):
-            return f"({print_formula(l)} % {print_formula(r)})"
-        case Tensor(l, r):
-            return f"({print_formula(l)} * {print_formula(r)})"
-        case Box(b):
-            return f"[] {print_formula(b)}"
-        case Diamond(b):
-            return f"<> {print_formula(b)}"
-    raise QmllError(f"not a formula: {f!r}")
+    """The concrete syntax of f, written out in pre-order from an explicit stack."""
+    out: list[str] = []
+    stack: list[Formula | str] = [f]
+    while stack:
+        item = stack.pop()
+        t = type(item)
+        if t is str:
+            out.append(item)
+        elif t is Atom:
+            out.append(item.name if item.positive else "~" + item.name)
+        elif t is Par or t is Tensor:
+            out.append("(")
+            stack += (")", item.right, " % " if t is Par else " * ", item.left)
+        elif t is Box or t is Diamond:
+            out.append("[] " if t is Box else "<> ")
+            stack.append(item.body)
+        else:
+            raise QmllError(f"not a formula: {item!r}")
+    return "".join(out)
 
 
 def parse_formula_stream(ts: tk.TokenStream) -> Formula:
@@ -182,10 +189,8 @@ def parse_formula_stream(ts: tk.TokenStream) -> Formula:
 def parse_formula(text: str) -> Formula:
     try:
         ts = tk.TokenStream(tk.tokenize(text))
-    except FormulaSyntaxError:
-        raise
-    except Exception as e:  # tokenizer raises SyntaxLocationError
-        raise FormulaSyntaxError(str(e), getattr(e, "pos", 0)) from e
+    except SyntaxLocationError as e:  # a tokenizer error, reported as a formula error
+        raise FormulaSyntaxError(e.message, e.pos) from e
     f = parse_formula_stream(ts)
     end = ts.peek()
     if end.kind != tk.EOF:

@@ -20,13 +20,17 @@ File format:
         | (q n GATE P) | (qflip n GATE P)
     GATE ::= I{n} | H | X | Y | Z | S | T | CNOT | SWAP | (mat ROW ...)
 
-where ROW is a bracket list of [re,im] pairs, row-major.
+where ROW is a bracket list of [re,im] pairs, row-major. `parse_proof`
+reads a file in one pass on an explicit stack and builds each rule with its
+checking constructor as the rule's `)` closes, so a proof of any depth that
+`print_proof` writes reads back.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -524,80 +528,66 @@ def _literal_data(rows: list[str], pos: int) -> np.ndarray:
 def _parse_position(ts: tk.TokenStream) -> int:
     t = ts.expect(tk.NUMBER, ProofSyntaxError)
     try:
-        val = int(t.text)
+        return int(t.text)
     except ValueError:
         raise ProofSyntaxError(f"expected an integer position, found {t.text!r}", t.pos)
-    return val
 
 
-RawNode = tuple  # (keyword, args..., position)
+_RULES = {"cut": (CutRule, 2), "tensor": (TensorRule, 2), "par": (ParRule, 1),
+          "q": (QRule, 1), "qflip": (partial(QRule, flip=True), 1)}
 
 
-def _parse_raw(ts: tk.TokenStream) -> RawNode:
-    start = ts.expect(tk.LP, ProofSyntaxError)
+def _open_rule(ts: tk.TokenStream) -> tuple:
+    """Read a rule's `(`, keyword and head: (constructor, head, premises read, premise count)."""
+    ts.expect(tk.LP, ProofSyntaxError)
     kw = ts.expect(tk.IDENT, ProofSyntaxError)
     if kw.text == "ax":
-        f = parse_formula_stream(ts)
-        ts.expect(tk.RP, ProofSyntaxError)
-        return ("ax", f, start.pos)
-    if kw.text in ("cut", "tensor"):
-        i, j = _parse_position(ts), _parse_position(ts)
-        l, r = _parse_raw(ts), _parse_raw(ts)
-        ts.expect(tk.RP, ProofSyntaxError)
-        return (kw.text, i, j, l, r, start.pos)
-    if kw.text == "par":
-        i, j = _parse_position(ts), _parse_position(ts)
-        s = _parse_raw(ts)
-        ts.expect(tk.RP, ProofSyntaxError)
-        return ("par", i, j, s, start.pos)
+        return (AxiomRule, (parse_formula_stream(ts),), [], 0)
+    if kw.text not in _RULES:
+        raise ProofSyntaxError(f"unknown rule {kw.text!r}", kw.pos)
+    ctor, arity = _RULES[kw.text]
     if kw.text in ("q", "qflip"):
-        n = _parse_position(ts)
-        gate = _parse_gate(ts)
-        s = _parse_raw(ts)
-        ts.expect(tk.RP, ProofSyntaxError)
-        return (kw.text, n, gate, s, start.pos)
-    raise ProofSyntaxError(f"unknown rule {kw.text!r}", kw.pos)
-
-
-def _build(raw: RawNode, path: Path, violations: list[tuple[str, str]]) -> Proof | None:
-    def attempt(ctor, *args):
-        try:
-            return ctor(*args)
-        except ProofError as e:
-            violations.append((path_str(path), str(e)))
-            return None
-
-    kind = raw[0]
-    if kind == "ax":
-        return attempt(AxiomRule, raw[1])
-    if kind == "cut":
-        l = _build(raw[3], path + (0,), violations)
-        r = _build(raw[4], path + (1,), violations)
-        return attempt(CutRule, raw[1], raw[2], l, r) if l and r else None
-    if kind == "par":
-        s = _build(raw[3], path + (0,), violations)
-        return attempt(ParRule, raw[1], raw[2], s) if s else None
-    if kind == "tensor":
-        l = _build(raw[3], path + (0,), violations)
-        r = _build(raw[4], path + (1,), violations)
-        return attempt(TensorRule, raw[1], raw[2], l, r) if l and r else None
-    # q / qflip
-    s = _build(raw[3], path + (0,), violations)
-    return attempt(QRule, raw[1], raw[2], s, kind == "qflip") if s else None
+        head = (_parse_position(ts), _parse_gate(ts))
+    else:
+        head = (_parse_position(ts), _parse_position(ts))
+    return (ctor, head, [], arity)
 
 
 def parse_proof(text: str) -> Proof:
-    """Parse and check a proof; raises on syntax errors or rule violations."""
+    """Parse and check a proof; raises on syntax errors or rule violations.
+
+    One left-to-right pass over the tokens, on an explicit stack of open
+    rules: a rule's head is read when its `(` opens, and its checking
+    constructor builds it when its `)` closes. A rule that fails its check is
+    recorded with its path, and no rule above it is built; the violations
+    come out in post-order, after the whole text has parsed.
+    """
     ts = tk.TokenStream(tk.tokenize(text))
-    raw = _parse_raw(ts)
-    end = ts.peek()
-    if end.kind != tk.EOF:
-        raise ProofSyntaxError(f"trailing input {end.text!r}", end.pos)
     violations: list[tuple[str, str]] = []
-    p = _build(raw, (), violations)
-    if violations or p is None:
-        raise CheckFailure(CheckReport(False, tuple(violations)))
-    return p
+    stack: list[tuple] = []  # the open ancestors of the rule being read
+    while True:
+        rule = _open_rule(ts)
+        while len(rule[2]) == rule[3]:
+            ts.expect(tk.RP, ProofSyntaxError)
+            ctor, head, premises, _ = rule
+            node = None
+            if None not in premises:
+                try:
+                    node = ctor(*head, *premises)
+                except ProofError as e:
+                    # each ancestor's premises read so far index the child below it
+                    path = tuple(len(r[2]) for r in stack)
+                    violations.append((path_str(path), str(e)))
+            if not stack:
+                end = ts.peek()
+                if end.kind != tk.EOF:
+                    raise ProofSyntaxError(f"trailing input {end.text!r}", end.pos)
+                if violations:
+                    raise CheckFailure(CheckReport(False, tuple(violations)))
+                return node
+            rule = stack.pop()
+            rule[2].append(node)
+        stack.append(rule)
 
 
 def print_gate(g: UnitaryMatrix) -> str:

@@ -91,10 +91,6 @@ class OccurrenceGraph:
     def formula(self, path: Path, pos: int) -> Formula:
         return self.nodes[path].conclusion[pos - 1]
 
-    def expected_stack_length(self, path: Path) -> int:
-        """Stack length a legal state at this occurrence must carry."""
-        return self.nesting[path]
-
     def legal_state_bound(self) -> int:
         total = 0
         for path, node in self.nodes.items():

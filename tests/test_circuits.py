@@ -160,6 +160,52 @@ def test_embed_random_gates_brute_force():
         assert approx_equal(via, direct, 1e-9)
 
 
+def ref_dense_embedding(u, targets):
+    """The block gate as a dense conjugation: P^dagger (u (x) I) P for the target-moving P."""
+    lo, hi = targets[0], targets[-1]
+    w = hi - lo + 1
+    local = [t - lo + 1 for t in targets]
+    order = local + [x for x in range(1, w + 1) if x not in local]
+    p = np.zeros((2 ** w, 2 ** w), dtype=complex)
+    for src in range(2 ** w):
+        dst = 0
+        for r, q in enumerate(order):
+            dst |= ((src >> (w - q)) & 1) << (w - 1 - r)
+        p[dst, src] = 1.0
+    padded = np.kron(u.data, np.eye(2 ** (w - u.dim_qubits), dtype=complex))
+    return p.conj().T @ padded @ p
+
+
+def test_embedding_reindexes_named_gates_bit_for_bit():
+    from gen import random_circuit as json_circuit
+    from test_golden import CASES
+    circuits = [circuit_from_json(json_circuit(seed, 7, 30)) for seed in range(20)]
+    circuits += [circuit_from_json(json_circuit(*case)) for case in CASES.values()]
+    circuits.append(Circuit(7, tuple((gate_by_name(g), (a, b)) for g in ("CNOT", "SWAP")
+                                     for a in range(1, 8) for b in range(a + 2, 8))))
+    seen = 0
+    for c in circuits:
+        for u, targets in c.gates:
+            if targets[-1] - targets[0] + 1 == len(targets):
+                continue
+            seen += 1
+            got = embed_gate(u, targets, c.n_qubits).unitary.data
+            assert got.tobytes() == ref_dense_embedding(u, targets).tobytes()
+    assert seen > 100
+
+
+def test_embedding_reindexes_random_unitaries():
+    rng = random.Random(17)
+    for k, m in [(2, 3), (2, 5), (3, 4), (3, 6)] * 5:
+        targets = tuple(sorted(rng.sample(range(1, m + 1), k)))
+        while targets[-1] - targets[0] + 1 == k:
+            targets = tuple(sorted(rng.sample(range(1, m + 1), k)))
+        u = rand_unitary(rng, k)
+        got = embed_gate(u, targets, m)
+        assert got.offset == targets[0] - 1
+        assert np.array_equal(got.unitary.data, ref_dense_embedding(u, targets))
+
+
 def test_embed_rejects_bad_targets():
     with pytest.raises(PreconditionError):
         embed_gate(CNOT, (3, 1), 3)

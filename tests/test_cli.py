@@ -76,6 +76,14 @@ def test_run_with_basis_input(tmp_path, capsys):
     assert np.max(np.abs(np.array(amps) - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("register", ["[[1]]", "5", '[["a",0]]', '{"x":1}', "[[1"])
+def test_run_malformed_input_exits_2(tmp_path, capsys, register):
+    f = write(tmp_path, "p.proof", "(q 1 H (ax a))")
+    assert main(["run", f, "--input", register]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_run_explicit_context_path(tmp_path, capsys):
     f = write(tmp_path, "p.proof", "(q 1 H (ax a))")
     assert main(["run", f, "--context", "1.L", "--input", "|0>"]) == 0

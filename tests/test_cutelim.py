@@ -14,7 +14,7 @@ from qmll.errors import MachineError, StaleRedexError
 from qmll.formulas import Atom, leading_run, modal_chain
 from qmll.matrices import approx_equal, gate_by_name, identity_gate
 from qmll.proofs import (AxiomRule, CutRule, ParRule, QRule, TensorRule, children, iter_nodes,
-                         rule_count, with_child)
+                         print_sequent, rule_count, with_child)
 
 from gen import random_circuit, random_corpus
 
@@ -239,6 +239,17 @@ def test_proof_walks_do_not_recurse_on_a_deep_normal_form():
     assert print_proof(nf) == "(qflip 1 I1 " * 3000 + "(ax a)" + ")" * 3000
     assert proofs_equal(nf, nf) and not proofs_equal(nf, nf.sub)
     assert proofs_equal(canonical_form(nf), nf, gate_tol=0)
+
+
+def test_a_deep_normal_form_reads_back_from_its_text():
+    p = CutRule(2, 1, AxiomRule(Atom("a")), AxiomRule(Atom("a")))
+    for _ in range(3000):
+        p = QRule(1, identity_gate(1), p, flip=True)
+    nf = normalize(p).final
+    text = print_proof(nf)
+    back = parse_proof(text)
+    assert proofs_equal(back, nf, gate_tol=0) and print_proof(back) == text
+    assert print_sequent(back.conclusion) == "<> [] " * 1500 + "~a, " + "[] <> " * 1500 + "a"
 
 
 # The recursive walks normalize made before the summaries were memoized,

@@ -67,6 +67,16 @@ def test_parse_errors_carry_position():
         parse_formula("(a & b)")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a & b", "unexpected character '&' (at offset 2)"),
+    ("<a", "expected '>' after '<' (at offset 0)"),
+])
+def test_tokenizer_errors_name_their_offset_once(text, message):
+    with pytest.raises(FormulaSyntaxError) as e:
+        parse_formula(text)
+    assert str(e.value) == message
+
+
 def test_depth_examples():
     assert depth(Context(())) == 0
     ctx3 = contexts_for(parse_formula("<> <> <> ~a"))[0][0]

@@ -1,4 +1,6 @@
 import random
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -450,3 +452,145 @@ def test_malformed_literal_exits_2(tmp_path, capsys, literal, offset):
     err = capsys.readouterr().err
     assert err.startswith("syntax error: ") and err.count("\n") == 1
     assert err.endswith(f"(at offset {offset})\n")
+
+
+# ---------------------------------------------------------------------------
+# parse_proof against the two-pass reader it replaced: `_ref_parse_raw` read
+# the text into tuples, and `_ref_build` walked them calling the constructors.
+
+def _ref_parse_raw(ts):
+    from qmll import tokens as tk
+    from qmll.formulas import parse_formula_stream
+    from qmll.proofs import _parse_gate, _parse_position
+    start = ts.expect(tk.LP, ProofSyntaxError)
+    kw = ts.expect(tk.IDENT, ProofSyntaxError)
+    if kw.text == "ax":
+        f = parse_formula_stream(ts)
+        ts.expect(tk.RP, ProofSyntaxError)
+        return ("ax", f, start.pos)
+    if kw.text in ("cut", "tensor"):
+        i, j = _parse_position(ts), _parse_position(ts)
+        l, r = _ref_parse_raw(ts), _ref_parse_raw(ts)
+        ts.expect(tk.RP, ProofSyntaxError)
+        return (kw.text, i, j, l, r, start.pos)
+    if kw.text == "par":
+        i, j = _parse_position(ts), _parse_position(ts)
+        s = _ref_parse_raw(ts)
+        ts.expect(tk.RP, ProofSyntaxError)
+        return ("par", i, j, s, start.pos)
+    if kw.text in ("q", "qflip"):
+        n = _parse_position(ts)
+        gate = _parse_gate(ts)
+        s = _ref_parse_raw(ts)
+        ts.expect(tk.RP, ProofSyntaxError)
+        return (kw.text, n, gate, s, start.pos)
+    raise ProofSyntaxError(f"unknown rule {kw.text!r}", kw.pos)
+
+
+def _ref_build(raw, path, violations):
+    from qmll.proofs import path_str
+
+    def attempt(ctor, *args):
+        try:
+            return ctor(*args)
+        except ProofError as e:
+            violations.append((path_str(path), str(e)))
+            return None
+
+    kind = raw[0]
+    if kind == "ax":
+        return attempt(AxiomRule, raw[1])
+    if kind == "cut":
+        l = _ref_build(raw[3], path + (0,), violations)
+        r = _ref_build(raw[4], path + (1,), violations)
+        return attempt(CutRule, raw[1], raw[2], l, r) if l and r else None
+    if kind == "par":
+        s = _ref_build(raw[3], path + (0,), violations)
+        return attempt(ParRule, raw[1], raw[2], s) if s else None
+    if kind == "tensor":
+        l = _ref_build(raw[3], path + (0,), violations)
+        r = _ref_build(raw[4], path + (1,), violations)
+        return attempt(TensorRule, raw[1], raw[2], l, r) if l and r else None
+    s = _ref_build(raw[3], path + (0,), violations)
+    return attempt(QRule, raw[1], raw[2], s, kind == "qflip") if s else None
+
+
+def _ref_parse_proof(text):
+    from qmll import tokens as tk
+    from qmll.proofs import CheckReport
+    ts = tk.TokenStream(tk.tokenize(text))
+    raw = _ref_parse_raw(ts)
+    end = ts.peek()
+    if end.kind != tk.EOF:
+        raise ProofSyntaxError(f"trailing input {end.text!r}", end.pos)
+    violations = []
+    p = _ref_build(raw, (), violations)
+    if violations or p is None:
+        raise CheckFailure(CheckReport(False, tuple(violations)))
+    return p
+
+
+def _outcome(read, text):
+    """What `read` makes of `text`: the proof, or the exception's class, message, offset and violations."""
+    try:
+        return read(text)
+    except Exception as e:
+        report = getattr(e, "report", None)
+        return (type(e), str(e), getattr(e, "pos", None), report and report.violations)
+
+
+def _assert_same_reading(text):
+    new, old = _outcome(parse_proof, text), _outcome(_ref_parse_proof, text)
+    if isinstance(old, tuple):
+        assert new == old, text
+    else:
+        assert proofs_equal(new, old, gate_tol=0), text
+        assert print_proof(new) == print_proof(old)
+
+
+def _broken_variants(text, rng):
+    """A truncation, trailing input, one position argument bumped (alone and with
+    trailing input), and an unknown keyword."""
+    numbers = [t for t in tokenize(text) if t.kind == "number"]
+    out = [text[:len(text) // 2], text + " (ax a)"]
+    if numbers:
+        t = rng.choice(numbers)
+        bumped = text[:t.pos] + str(int(t.text) + 1) + text[t.pos + len(t.text):]
+        out += [bumped, bumped + " (ax a)"]
+    kw = rng.choice(list(re.finditer(r"\((?:ax|cut|par|tensor|q|qflip) ", text)))
+    out.append(f"{text[:kw.start() + 1]}frob {text[kw.end():]}")
+    return out
+
+
+def test_one_pass_reader_matches_the_two_pass_reader_on_the_corpus():
+    rng = random.Random(5)
+    texts = [print_proof(p) for p in random_corpus(20260811, 1000)]
+    kinds = Counter()
+    for text in texts:
+        _assert_same_reading(text)
+        for broken in _broken_variants(text, rng):
+            _assert_same_reading(broken)
+            outcome = _outcome(parse_proof, broken)
+            kinds[outcome[0].__name__ if isinstance(outcome, tuple) else "ok"] += 1
+    # the variants reach both the syntax errors and the rule violations
+    assert kinds["ProofSyntaxError"] > 2000 and kinds["CheckFailure"] > 500, kinds
+
+
+def test_one_pass_reader_matches_the_two_pass_reader_on_golden_proofs():
+    from test_golden import CASES, GOLDEN
+    from qmll.circuits import circuit_from_json, encode
+    for name in sorted(CASES):
+        encoded = print_proof(encode(circuit_from_json(random_circuit(*CASES[name]))))
+        _assert_same_reading(encoded)
+        _assert_same_reading((GOLDEN / f"{name}.nf").read_text())
+
+
+def test_violations_keep_their_post_order_paths():
+    text = "(cut 2 1 (par 1 1 (ax a)) (tensor 1 1 (q 1 CNOT (ax b)) (cut 1 1 (ax c) (ax c))))"
+    with pytest.raises(CheckFailure) as e:
+        parse_proof(text)
+    assert e.value.report.violations == (
+        ("0", "par positions must be distinct"),
+        ("1.0", "gate acts on 2 qubits but the declared arity is 1"),
+        ("1.1", "cut formulas are not dual: ~c vs ~c"))
+    _assert_same_reading(text)

@@ -124,7 +124,7 @@ def embed_gate(u: UnitaryMatrix, targets: tuple[int, ...], m: int) -> EmbeddedGa
     for r, q in enumerate(order):
         pi |= ((src >> (w - 1 - q)) & 1) << (w - 1 - r)
     padded = np.kron(u.data, np.eye(2 ** (w - k), dtype=complex))
-    return EmbeddedGate(UnitaryMatrix(padded[np.ix_(pi, pi)]), lo - 1)
+    return EmbeddedGate(UnitaryMatrix.composed(padded[np.ix_(pi, pi)]), lo - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,26 +201,26 @@ def extract(proof: Proof, entry_pos: int, ctx: Context,
 
 
 def circuit_from_json(text: str) -> Circuit:
-    try:
+    try:  # malformed JSON, and values of the wrong JSON type, fail the call that reads them
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+        if not isinstance(obj, dict) or "qubits" not in obj:
+            raise QmllError("circuit JSON must be an object with a 'qubits' field")
+        gates = []
+        for g in obj.get("gates", []):
+            if "targets" not in g:
+                raise QmllError("every gate needs a 'targets' list")
+            targets = tuple(int(t) for t in g["targets"])
+            if isinstance(g.get("gate"), str):
+                u = gate_by_name(g["gate"])
+            elif "matrix" in g:
+                rows = [[complex(e[0], e[1]) for e in row] for row in g["matrix"]]
+                u = UnitaryMatrix(np.array(rows, dtype=complex))
+            else:
+                raise QmllError("gate entries need either a 'gate' name or a 'matrix'")
+            gates.append((u, targets))
+        return Circuit(int(obj["qubits"]), tuple(gates))
+    except (TypeError, ValueError, IndexError, OverflowError) as e:  # JSONDecodeError too
         raise QmllError(f"bad circuit JSON: {e}") from e
-    if not isinstance(obj, dict) or "qubits" not in obj:
-        raise QmllError("circuit JSON must be an object with a 'qubits' field")
-    gates = []
-    for g in obj.get("gates", []):
-        if "targets" not in g:
-            raise QmllError("every gate needs a 'targets' list")
-        targets = tuple(int(t) for t in g["targets"])
-        if "gate" in g:
-            u = gate_by_name(g["gate"])
-        elif "matrix" in g:
-            rows = [[complex(e[0], e[1]) for e in row] for row in g["matrix"]]
-            u = UnitaryMatrix(np.array(rows, dtype=complex))
-        else:
-            raise QmllError("gate entries need either 'gate' or 'matrix'")
-        gates.append((u, targets))
-    return Circuit(int(obj["qubits"]), tuple(gates))
 
 
 def circuit_to_json(circuit: Circuit) -> str:

@@ -203,8 +203,8 @@ def main(argv: list[str] | None = None) -> int:
     except CheckFailure as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
-    except QmllError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (QmllError, MemoryError) as e:  # numpy's MemoryError names the allocation
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,16 +1,17 @@
 """Dense complex linear algebra for gates and registers.
 
 Conventions: gates act on 2^n dimensional spaces; basis index bit order is
-most-significant-first, so qubit 1 is the first Kronecker factor. Unitarity
-is checked to UNITARY_EPS at construction; end-to-end equalities in callers
-use a looser 1e-8.
+most-significant-first, so qubit 1 is the first Kronecker factor. Gates from
+outside are certified unitary to UNITARY_EPS in full, gates composed of them by
+an O(4^n) probe; end-to-end equalities in callers use a looser 1e-8.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -50,40 +51,58 @@ def approx_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryMatrix:
-    """A 2^n by 2^n matrix certified unitary at construction."""
+    """A read-only 2^n by 2^n unitary; built directly, a leaf certified in full in O(8^n)."""
 
     data: np.ndarray
     dim_qubits: int = field(init=False)
     name: str | None = None
+    _composed: InitVar[bool] = False  # set by `composed` alone
 
-    def __post_init__(self):
+    def __post_init__(self, _composed: bool):
         m = np.asarray(self.data, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"gate must be square, got {m.shape}")
         n = m.shape[0].bit_length() - 1
         if 2**n != m.shape[0] or m.shape[0] < 1:
             raise DimensionError(f"gate dimension {m.shape[0]} is not a power of two")
-        err = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
+        if _composed:  # U^†y = conj(conj(y) U) reads U in place
+            x = _probe(m.shape[0])
+            err = np.linalg.norm(np.conj(np.conj(m @ x) @ m) - x)
+        else:
+            err = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
         if err > UNITARY_EPS:
             raise DimensionError(f"matrix is not unitary (deviation {err:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "data", m)
         object.__setattr__(self, "dim_qubits", n)
 
+    @classmethod
+    def composed(cls, data: np.ndarray, name: str | None = None) -> UnitaryMatrix:
+        """A product, tensor or adjoint of certified gates, checked in O(4^n): for a fixed unit
+        probe x, ||U^†(Ux) - x|| <= UNITARY_EPS, true if ||U^†U - I||_F is (Freivalds 1977)."""
+        return cls(data, name, True)
+
+
+@functools.cache
+def _probe(dim: int) -> np.ndarray:
+    """A seeded random unit vector of length dim, made once per dimension."""
+    x = np.random.default_rng(dim).standard_normal(2 * dim).view(complex)
+    return x / np.linalg.norm(x)
+
 
 def matmul(a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
-    return UnitaryMatrix(mat_mul(a.data, b.data))
+    return UnitaryMatrix.composed(mat_mul(a.data, b.data))
 
 
 def tensor(a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
     """Kronecker product; the first factor takes the lower-numbered qubits."""
     check_qubits(a.dim_qubits + b.dim_qubits)
-    return UnitaryMatrix(np.kron(a.data, b.data))
+    return UnitaryMatrix.composed(np.kron(a.data, b.data))
 
 
 def adjoint(u: UnitaryMatrix) -> UnitaryMatrix:
     keep = u.name is not None and (u.name in _HERMITIAN or u.name.startswith("I"))
-    return UnitaryMatrix(u.data.conj().T, name=u.name if keep else None)
+    return UnitaryMatrix.composed(u.data.conj().T, name=u.name if keep else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,29 +164,29 @@ def apply_at(u: UnitaryMatrix, register: StateVector, offset: int) -> StateVecto
 # ---------------------------------------------------------------------------
 # named gate library
 
-_GATES: dict[str, np.ndarray] = {
-    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "T": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
-    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
-    "SWAP": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
-}
+_GATES = {name: UnitaryMatrix(np.array(rows, dtype=complex), name=name) for name, rows in {
+    "H": [[_SQ2, _SQ2], [_SQ2, -_SQ2]],
+    "X": [[0, 1], [1, 0]],
+    "Y": [[0, -1j], [1j, 0]],
+    "Z": [[1, 0], [0, -1]],
+    "S": [[1, 0], [0, 1j]],
+    "T": [[1, 0], [0, np.exp(1j * math.pi / 4)]],
+    "CNOT": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+    "SWAP": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+}.items()}  # leaves certified once, at import; gate_by_name hands out these instances
 _HERMITIAN = {"H", "X", "Y", "Z", "CNOT", "SWAP"}  # I{n} handled separately
 
 
 def identity_gate(n: int) -> UnitaryMatrix:
     check_qubits(n)
-    return UnitaryMatrix(np.eye(2**n, dtype=complex), name=f"I{n}")
+    return UnitaryMatrix.composed(np.eye(2**n, dtype=complex), name=f"I{n}")
 
 
 def gate_by_name(name: str) -> UnitaryMatrix:
     if name.startswith("I") and name[1:].isdigit():
         return identity_gate(int(name[1:]))
     if name in _GATES:
-        return UnitaryMatrix(_GATES[name], name=name)
+        return _GATES[name]
     raise QmllError(f"unknown gate name {name!r}")
 
 

@@ -280,7 +280,7 @@ def semantics_relative(proof: Proof, entry_pos: int, ctx: Context) -> SemanticsR
     for ev in res.events:
         u = apply_gate(ev.applied().data, u, ev.offset)
     return SemanticsResult(entry_pos, ctx, res.final.pos, res.final.ctx,
-                           UnitaryMatrix(u), res.events, res.steps)
+                           UnitaryMatrix.composed(u), res.events, res.steps)
 
 
 def extract_gate_sequence(proof: Proof, entry_pos: int,

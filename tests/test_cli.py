@@ -187,3 +187,49 @@ def test_gates_over_the_qubit_cap_exit_1(tmp_path, capsys, monkeypatch, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: 4 qubits exceeds the configured cap of 3\n"
+
+
+WRONG_SHAPED_CIRCUITS = [  # well-formed JSON whose values have the wrong JSON type
+    '{"qubits": 2, "gates": [5]}',
+    '{"qubits": 2, "gates": [{"gate": "H", "targets": 5}]}',
+    '{"qubits": "x", "gates": []}',
+    '{"qubits": 2, "gates": [{"gate": 5, "targets": [1]}]}',
+    '{"qubits": null}',
+    '{"qubits": 1e400}',
+    '{"qubits": 2, "gates": 5}',
+    '{"qubits": 2, "gates": ["targets"]}',
+    '{"qubits": 2, "gates": [{"gate": "H", "targets": [[1]]}]}',
+    '{"qubits": 1, "gates": [{"matrix": 5, "targets": [1]}]}',
+    '{"qubits": 1, "gates": [{"matrix": [[1, 0], [0, 1]], "targets": [1]}]}',
+    '{"qubits": 1, "gates": [{"matrix": [[[1]], [[0]]], "targets": [1]}]}',
+    '{"qubits": 1, "gates": [{"matrix": [[["a", 0]]], "targets": [1]}]}',
+    '{"qubits": 1, "gates": [{"matrix": [[[1, 0]], [[0, 0], [1, 0]]], "targets": [1]}]}',
+]
+
+
+@pytest.mark.parametrize("text", WRONG_SHAPED_CIRCUITS)
+def test_wrong_shaped_circuit_json_exits_1_with_one_line(tmp_path, capsys, text):
+    f = write(tmp_path, "c.json", text)
+    assert main(["encode", f]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+NUMPY_MESSAGE = "Unable to allocate 64.0 GiB for an array with shape (65536, 65536)"
+
+
+@pytest.mark.parametrize("exc,message", [(MemoryError(NUMPY_MESSAGE), NUMPY_MESSAGE),
+                                         (MemoryError(), "out of memory")])
+def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch, exc, message):
+    import qmll.cli
+
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(qmll.cli, "normalize", exhausted)
+    f = write(tmp_path, "p.proof", "(cut 2 1 (q 1 H (ax a)) (q 1 H (ax a)))")
+    assert main(["normalize", f]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -209,7 +209,7 @@ def circuit_from_json(text: str) -> Circuit:
         for g in obj.get("gates", []):
             if "targets" not in g:
                 raise QmllError("every gate needs a 'targets' list")
-            targets = tuple(int(t) for t in g["targets"])
+            targets = tuple(map(_json_int, g["targets"]))
             if isinstance(g.get("gate"), str):
                 u = gate_by_name(g["gate"])
             elif "matrix" in g:
@@ -218,9 +218,15 @@ def circuit_from_json(text: str) -> Circuit:
             else:
                 raise QmllError("gate entries need either a 'gate' name or a 'matrix'")
             gates.append((u, targets))
-        return Circuit(int(obj["qubits"]), tuple(gates))
+        return Circuit(_json_int(obj["qubits"]), tuple(gates))
     except (TypeError, ValueError, IndexError, OverflowError) as e:  # JSONDecodeError too
         raise QmllError(f"bad circuit JSON: {e}") from e
+
+
+def _json_int(v: object) -> int:
+    if type(v) is not int:  # a float, a string, or a bool, which Python counts as an int
+        raise TypeError(f"expected a JSON integer, found {json.dumps(v)}")
+    return v
 
 
 def circuit_to_json(circuit: Circuit) -> str:

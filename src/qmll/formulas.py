@@ -127,15 +127,16 @@ def wrap_modal(kind: str, n: int, f: Formula) -> Formula:
 
 
 def atoms(f: Formula) -> list[Atom]:
-    """Atom occurrences in left-to-right leaf order."""
-    match f:
-        case Atom():
-            return [f]
-        case Par(l, r) | Tensor(l, r):
-            return atoms(l) + atoms(r)
-        case Box(b) | Diamond(b):
-            return atoms(b)
-    raise QmllError(f"not a formula: {f!r}")
+    """Atom occurrences in left-to-right leaf order, collected from an explicit stack."""
+    out: list[Atom] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is Atom:
+            out.append(g)
+        else:
+            stack.extend(reversed(subformulas(g)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,25 +304,19 @@ def context_along(f: Formula, segments: list[str]) -> Context:
 
 
 def contexts_for(f: Formula) -> list[tuple[Context, bool]]:
-    """One (context, polarity) per atom occurrence of `f`, in leaf order."""
+    """One (context, polarity) per atom occurrence of `f`, in leaf order, on an explicit stack."""
     out: list[tuple[Context, bool]] = []
-
-    def walk(g: Formula, steps: tuple[Step, ...]):
-        match g:
-            case Atom(_, pos):
-                out.append((Context(steps), pos))
-            case Par(l, r):
-                walk(l, steps + ((PAR_L, r),))
-                walk(r, steps + ((PAR_R, l),))
-            case Tensor(l, r):
-                walk(l, steps + ((TENS_L, r),))
-                walk(r, steps + ((TENS_R, l),))
-            case Box(b):
-                walk(b, steps + ((BOX_S, None),))
-            case Diamond(b):
-                walk(b, steps + ((DIA_S, None),))
-
-    walk(f, ())
+    stack: list[tuple[Formula, tuple[Step, ...]]] = [(f, ())]
+    while stack:
+        g, steps = stack.pop()
+        t = type(g)
+        if t is Atom:
+            out.append((Context(steps), g.positive))
+        elif t is Par or t is Tensor:
+            left, right = (PAR_L, PAR_R) if t is Par else (TENS_L, TENS_R)
+            stack += ((g.right, steps + ((right, g.left),)), (g.left, steps + ((left, g.right),)))
+        elif t is Box or t is Diamond:
+            stack.append((g.body, steps + ((BOX_S if t is Box else DIA_S, None),)))
     return out
 
 

@@ -126,6 +126,7 @@ class StateVector:
 
 
 def zero_state(n: int) -> StateVector:
+    check_qubits(n)
     v = np.zeros(2**n, dtype=complex)
     v[0] = 1.0
     return StateVector(n, v)
@@ -135,6 +136,7 @@ def basis_state(bits: str) -> StateVector:
     """Build |bits> from a 0/1 string, leftmost bit = qubit 1."""
     if not bits or any(c not in "01" for c in bits):
         raise PreconditionError(f"bad basis label {bits!r}")
+    check_qubits(len(bits))
     v = np.zeros(2**len(bits), dtype=complex)
     v[int(bits, 2)] = 1.0
     return StateVector(len(bits), v)

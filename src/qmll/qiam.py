@@ -16,7 +16,8 @@ top first. depth(context) + len(stack) is invariant along a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .formulas import (BOX_S, DIA_S, PAR_L, PAR_R, TENS_L, TENS_R, Context, Form
                        atoms, contexts_for, depth, dual_context, hole_atom, print_context,
                        print_formula)
 from .matrices import StateVector, UnitaryMatrix, adjoint, apply_at, apply_gate, check_qubits
-from .proofs import (AxiomRule, CutRule, ParRule, Path, Proof, QRule, conclusion_position,
-                     iter_nodes, path_str, premise_source)
+from .proofs import (AxiomRule, CutRule, ParRule, Path, Proof, QRule, children,
+                     conclusion_position, path_str, premise_source)
 
 
 @dataclass(frozen=True)
@@ -70,126 +71,156 @@ class Stuck:
 
 
 class OccurrenceGraph:
-    """Immutable routing data for a checked proof."""
+    """Immutable routing data for a checked proof, compiled into flat tables.
+
+    Nodes are numbered breadth first from the root, 0, so siblings have consecutive
+    ids. Per id the tables hold the node, its parent, its first child and its
+    nesting: the modal symbols pushed by the enclosing boxes, one per arity unit.
+    The machine walks ids; a path is built only where a caller asks for one.
+    """
 
     def __init__(self, proof: Proof):
         self.proof = proof
-        order = iter_nodes(proof)
-        self.nodes: dict[Path, Proof] = dict(order)
-        # modal symbols pushed by the enclosing boxes: one per arity unit,
-        # so each node adds its parent's arity to its parent's nesting
-        self.nesting: dict[Path, int] = {(): 0}
-        for path, _ in reversed(order[:-1]):  # parents first; the root is last in post-order
-            parent = path[:-1]
-            above = self.nodes[parent]
-            self.nesting[path] = self.nesting[parent] + (
-                above.arity if isinstance(above, QRule) else 0)
+        self.node_by_id: list[Proof] = [proof]
+        self.parent, self.first_child, self.nest = [-1], [], [0]
+        for i, node in enumerate(self.node_by_id):  # also visits the nodes it appends
+            kids = children(node)
+            self.first_child.append(len(self.node_by_id))
+            self.node_by_id += kids
+            self.parent += [i] * len(kids)
+            self.nest += [self.nest[i] + (node.arity if isinstance(node, QRule) else 0)] * len(kids)
+        # the atoms in each node's conclusion, children first: a rule keeps its premises'
+        # atoms, an axiom holds its formula's twice, a cut drops its cut formula's twice
+        held = [0] * len(self.node_by_id)
+        for i in reversed(range(len(held))):
+            node = self.node_by_id[i]
+            if isinstance(node, AxiomRule):
+                held[i] = 2 * len(atoms(node.formula))
+            elif isinstance(node, CutRule):
+                held[i] -= 2 * len(atoms(node.cut_formula))
+            if i:
+                held[self.parent[i]] += held[i]
+        self._bound = sum(n << nest for n, nest in zip(held, self.nest))
+
+    def path_of(self, i: int) -> Path:
+        """The path of node i: its child slots, read from the root."""
+        out = []
+        while i > 0:
+            up = self.parent[i]
+            out.append(i - self.first_child[up])
+            i = up
+        return tuple(reversed(out))
+
+    def node_id(self, path: Path) -> int:
+        i = 0
+        for k in path:
+            if not 0 <= k < len(children(self.node_by_id[i])):
+                raise KeyError(path)
+            i = self.first_child[i] + k
+        return i
+
+    @cached_property
+    def nodes(self) -> dict[Path, Proof]:
+        return {self.path_of(i): node for i, node in enumerate(self.node_by_id)}
+
+    @cached_property
+    def nesting(self) -> dict[Path, int]:
+        return {self.path_of(i): nest for i, nest in enumerate(self.nest)}
 
     def node(self, path: Path) -> Proof:
-        return self.nodes[path]
+        return self.node_by_id[self.node_id(path)]
 
     def formula(self, path: Path, pos: int) -> Formula:
-        return self.nodes[path].conclusion[pos - 1]
+        return self.node(path).conclusion[pos - 1]
 
     def legal_state_bound(self) -> int:
-        total = 0
-        for path, node in self.nodes.items():
-            for f in node.conclusion:
-                total += len(atoms(f)) * (2 ** self.nesting[path])
-        return total
+        """Σ over conclusion occurrences of atom count · 2^nesting, which bounds a run's steps."""
+        return self._bound
 
 
-def _pop_uniform(stack: tuple[str, ...], m: int) -> tuple[str | None, tuple[str, ...]]:
-    if len(stack) < m:
-        return None, stack
-    top, rest = stack[-m:], stack[:-m]
-    if all(s == top[0] for s in top):
-        return top[0], rest
-    return None, stack
-
-
-def step_machine(graph: OccurrenceGraph, s: MachineState) -> Next | Final | Stuck:
-    """One move of the token.
-
-    Through a rule that does not introduce the token's formula, it climbs
-    along `premise_source` and descends along `conclusion_position`; only
-    principal formulas, cut formulas and box ports are handled here.
+def _move(graph: OccurrenceGraph, i: int, pos: int, ctx: Context, positive: bool,
+          stack: tuple[str, ...]) -> tuple | str | None:
+    """One move of the token: the next (node id, pos, ctx, positive, stack, gate event),
+    None when the state is final, or why it is stuck. Through a rule that does not
+    introduce the token's formula, it climbs along `premise_source` and descends along
+    `conclusion_position`; only principal formulas, cut formulas and box ports are handled here.
     """
-    if s.positive and s.path == ():
-        if not s.stack:
-            return Final(s)
-        return Stuck(s, "positive at the conclusion with a nonempty stack")
+    if positive and i == 0:
+        return "positive at the conclusion with a nonempty stack" if stack else None
 
-    if not s.positive:
-        node = graph.node(s.path)
+    if not positive:
+        node = graph.node_by_id[i]
         if isinstance(node, AxiomRule):
-            other = 2 if s.pos == 1 else 1
-            return Next(replace(s, pos=other, ctx=dual_context(s.ctx), positive=True))
+            return i, 2 if pos == 1 else 1, dual_context(ctx), True, stack, None
         if isinstance(node, QRule):  # enter the box, moving modal steps from context to stack
             m = node.arity
-            want = DIA_S if s.pos == 1 else BOX_S
-            head = s.ctx.steps[:m]
+            want = DIA_S if pos == 1 else BOX_S
+            head = ctx.steps[:m]
             if len(head) < m or any(k != want for k, _ in head):
-                return Stuck(s, "context does not carry the modal prefix of the formula")
-            sym = "d" if s.pos == 1 else "b"
-            prem = node.diamond_source if s.pos == 1 else node.box_source
-            return Next(replace(s, path=s.path + (0,), pos=prem,
-                                ctx=Context(s.ctx.steps[m:]), stack=s.stack + (sym,) * m))
-        src = premise_source(node, s.pos)
+                return "context does not carry the modal prefix of the formula"
+            sym = "d" if pos == 1 else "b"
+            prem = node.diamond_source if pos == 1 else node.box_source
+            return (graph.first_child[i], prem, Context(ctx.steps[m:]), False,
+                    stack + (sym,) * m, None)
+        src = premise_source(node, pos)
         if src is not None:
-            return Next(replace(s, path=s.path + (src[0],), pos=src[1]))
+            return graph.first_child[i] + src[0], src[1], ctx, False, stack, None
         # the principal formula of a par or tensor: the context picks the component
         name, left, right = (("par", PAR_L, PAR_R) if isinstance(node, ParRule)
                              else ("tensor", TENS_L, TENS_R))
-        if not s.ctx.steps:
-            return Stuck(s, f"empty context at a {name} principal formula")
-        kind, _ = s.ctx.steps[0]
-        inner = Context(s.ctx.steps[1:])
+        if not ctx.steps:
+            return f"empty context at a {name} principal formula"
+        kind, _ = ctx.steps[0]
+        inner = Context(ctx.steps[1:])
         if kind == left:
-            return Next(replace(s, path=s.path + (0,), pos=node.i, ctx=inner))
+            return graph.first_child[i], node.i, inner, False, stack, None
         if kind == right:
             k = 0 if name == "par" else 1
-            return Next(replace(s, path=s.path + (k,), pos=node.j, ctx=inner))
-        return Stuck(s, f"context does not enter the {name} formula")
+            return graph.first_child[i] + k, node.j, inner, False, stack, None
+        return f"context does not enter the {name} formula"
 
     # positive: descend through the rule below
-    parent_path, k = s.path[:-1], s.path[-1]
-    q = graph.node(parent_path)
+    up = graph.parent[i]
+    k = i - graph.first_child[up]
+    q = graph.node_by_id[up]
     if isinstance(q, QRule):
         m = q.arity
-        sym, rest = _pop_uniform(s.stack, m)
-        if sym is None:
-            return Stuck(s, "stack does not carry a uniform block for the box exit")
-        offset = depth(s.ctx)
-        event: GateEvent | None = None
-        if s.pos == q.diamond_source:
-            ctx = Context(((DIA_S, None),) * m + s.ctx.steps)
-            if sym == "b":
-                event = GateEvent(q.gate, offset, forward=False)
-            nxt = replace(s, path=parent_path, pos=1, ctx=ctx, stack=rest)
-        elif s.pos == q.box_source:
-            ctx = Context(((BOX_S, None),) * m + s.ctx.steps)
-            if sym == "d":
-                event = GateEvent(q.gate, offset, forward=True)
-            nxt = replace(s, path=parent_path, pos=2, ctx=ctx, stack=rest)
-        else:
-            return Stuck(s, "box exit from an unknown premise position")
-        if event is not None and nxt.register is not None:
-            nxt = replace(nxt, register=apply_at(event.applied(), nxt.register, event.offset))
-        return Next(nxt, event)
-    pos = conclusion_position(q, k, s.pos)
-    if pos is not None:
-        return Next(replace(s, path=parent_path, pos=pos))
+        top, rest = stack[-m:], stack[:-m]
+        if len(top) < m or any(s != top[0] for s in top):
+            return "stack does not carry a uniform block for the box exit"
+        sym, offset = top[0], depth(ctx)
+        if pos == q.diamond_source:
+            event = GateEvent(q.gate, offset, forward=False) if sym == "b" else None
+            return up, 1, Context(((DIA_S, None),) * m + ctx.steps), True, rest, event
+        if pos == q.box_source:
+            event = GateEvent(q.gate, offset, forward=True) if sym == "d" else None
+            return up, 2, Context(((BOX_S, None),) * m + ctx.steps), True, rest, event
+        return "box exit from an unknown premise position"
+    to = conclusion_position(q, k, pos)
+    if to is not None:
+        return up, to, ctx, True, stack, None
     if isinstance(q, CutRule):  # bounce off the cut to the dual occurrence
         k2, pos2 = (1, q.j) if k == 0 else (0, q.i)
-        return Next(replace(s, path=parent_path + (k2,), pos=pos2,
-                            ctx=dual_context(s.ctx), positive=False))
+        return graph.first_child[up] + k2, pos2, dual_context(ctx), False, stack, None
     # a component of a par or tensor: the context records its side and the other component
     left, right = (PAR_L, PAR_R) if isinstance(q, ParRule) else (TENS_L, TENS_R)
     principal = q.conclusion[-1]
-    entered = (left, principal.right) if k == 0 and s.pos == q.i else (right, principal.left)
-    return Next(replace(s, path=parent_path, pos=len(q.conclusion),
-                        ctx=Context((entered,) + s.ctx.steps)))
+    entered = (left, principal.right) if k == 0 and pos == q.i else (right, principal.left)
+    return up, len(q.conclusion), Context((entered,) + ctx.steps), True, stack, None
+
+
+def step_machine(graph: OccurrenceGraph, s: MachineState) -> Next | Final | Stuck:
+    """One move of the token (see `_move`) between states that carry their path."""
+    res = _move(graph, graph.node_id(s.path), s.pos, s.ctx, s.positive, s.stack)
+    if res is None:
+        return Final(s)
+    if isinstance(res, str):
+        return Stuck(s, res)
+    i, pos, ctx, positive, stack, event = res
+    register = s.register
+    if event is not None and register is not None:
+        register = apply_at(event.applied(), register, event.offset)
+    return Next(MachineState(graph.path_of(i), pos, ctx, positive, stack, register), event)
 
 
 @dataclass(frozen=True)
@@ -221,28 +252,34 @@ def initial_state(graph: OccurrenceGraph, entry_pos: int, ctx: Context,
 
 def run(graph: OccurrenceGraph, start: MachineState,
         collect_trace: bool = False) -> RunResult:
+    """Move the token from `start` until it is final, on node ids: a path is built
+    for the final state, and for each traced state."""
     bound = graph.legal_state_bound() + 2
-    cur = start
+    i, pos, ctx, positive, stack, register = (graph.node_id(start.path), start.pos, start.ctx,
+                                              start.positive, start.stack, start.register)
     events: list[GateEvent] = []
     trace: list[str] = []
     steps = 0
     while True:
-        if len(cur.stack) != graph.nesting[cur.path]:
+        if len(stack) != graph.nest[i]:
             raise MachineError("illegal stack length; unreachable from initial states")
         if collect_trace:
-            trace.append(_trace_line(graph, cur))
-        res = step_machine(graph, cur)
-        if isinstance(res, Final):
-            return RunResult(cur, tuple(events), steps, tuple(trace))
-        if isinstance(res, Stuck):
-            raise MachineError(f"machine stuck: {res.reason}")
-        if res.event is not None:
-            events.append(res.event)
+            trace.append(_trace_line(graph, MachineState(graph.path_of(i), pos, ctx, positive,
+                                                         stack)))
+        res = _move(graph, i, pos, ctx, positive, stack)
+        if res is None:
+            final = MachineState(graph.path_of(i), pos, ctx, positive, stack, register)
+            return RunResult(final, tuple(events), steps, tuple(trace))
+        if isinstance(res, str):
+            raise MachineError(f"machine stuck: {res}")
+        i, pos, ctx, positive, stack, event = res
+        if event is not None:
+            events.append(event)
+            if register is not None:
+                register = apply_at(event.applied(), register, event.offset)
             if collect_trace:
-                ev = res.event
-                arrow = "" if ev.forward else " (adjoint)"
-                trace.append(f"  apply {ev.gate.name or 'gate'}{arrow} at offset {ev.offset}")
-        cur = res.state
+                arrow = "" if event.forward else " (adjoint)"
+                trace.append(f"  apply {event.gate.name or 'gate'}{arrow} at offset {event.offset}")
         steps += 1
         if steps > bound:
             raise MachineError("run exceeded the legal-state bound")

@@ -233,3 +233,31 @@ def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch, exc, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text", [
+    '{"qubits": 2.7, "gates": [{"gate": "H", "targets": [1]}]}',
+    '{"qubits": 2, "gates": [{"gate": "CNOT", "targets": "12"}]}',
+    '{"qubits": true, "gates": [{"gate": "H", "targets": [1]}]}',
+    '{"qubits": 2, "gates": [{"gate": "H", "targets": [1.9]}]}',
+])
+def test_circuit_json_numbers_must_be_json_integers(tmp_path, capsys, text):
+    f = write(tmp_path, "c.json", text)
+    assert main(["encode", f]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad circuit JSON: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["semantics", "run", "extract"])
+def test_machine_commands_refuse_a_3000_deep_chain_over_the_cap(tmp_path, capsys, command):
+    from qmll import AxiomRule, CutRule, QRule, identity_gate, print_proof
+    from qmll.formulas import Atom
+    p = CutRule(2, 1, AxiomRule(Atom("a")), AxiomRule(Atom("a")))
+    for _ in range(3000):
+        p = QRule(1, identity_gate(1), p, flip=True)
+    f = write(tmp_path, "chain.proof", print_proof(p))
+    assert main([command, f]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 3000 qubits exceeds the configured cap of 16\n"

@@ -132,3 +132,24 @@ def test_modal_helpers():
 def test_print_context():
     ctx = contexts_for(parse_formula("([] a * b)"))[0][0]
     assert print_context(ctx) == "([] [.] * b)"
+
+
+def test_leaves_of_a_deep_formula_without_recursion():
+    """3000 levels of box, par, diamond and tensor, an atom hung off each binary level."""
+    f = Atom("a", False)
+    for d in range(3000):
+        if d % 2 == 0:
+            f = Box(f) if d % 4 == 0 else Diamond(f)
+        else:
+            leaf = Atom(f"b{d}", d % 3 == 0)
+            f = Par(f, leaf) if d % 4 == 1 else Tensor(leaf, f)
+    leaves = atoms(f)
+    # tensor leaves sit left of the core, outermost first; par leaves right, innermost first
+    want = [f"b{d}" for d in range(2999, 0, -4)] + ["a"] + [f"b{d}" for d in range(1, 3000, 4)]
+    assert [a.name for a in leaves] == want
+    entries = contexts_for(f)
+    assert [pos for _, pos in entries] == [a.positive for a in leaves]
+    for i in (0, 1, 750, 1499, 1500):
+        assert hole_atom(entries[i][0], f) is leaves[i]
+    assert depth(entries[750][0]) == 1500
+

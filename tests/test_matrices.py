@@ -239,3 +239,17 @@ def test_render_rows_matches_per_entry_formatting_and_keeps_signed_zeros():
     u = rand_unitary(random.Random(3), 3).data
     assert render_rows(u) == render_rows_per_entry(u)
     assert render_rows(u[2]) == render_rows_per_entry(u[2])
+
+
+def test_registers_over_the_cap_are_refused_before_allocation(monkeypatch):
+    sizes = []
+    zeros = np.zeros
+    monkeypatch.setattr(np, "zeros", lambda shape, *a, **k: sizes.append(shape) or zeros(shape, *a,
+                                                                                        **k))
+    monkeypatch.setenv("QMLL_MAX_QUBITS", "3")
+    for build in (lambda: zero_state(20), lambda: basis_state("0" * 20)):
+        with pytest.raises(PreconditionError, match="20 qubits exceeds the configured cap of 3"):
+            build()
+    assert sizes == []
+    assert zero_state(3).n_qubits == basis_state("101").n_qubits == 3
+    assert sizes == [8, 8]

@@ -146,19 +146,15 @@ def encode(circuit: Circuit) -> Proof:
     columns: list[list[tuple[UnitaryMatrix, int]]] = []
     col: list[tuple[UnitaryMatrix, int]] = []
     depth_now = 0
-    started = False
     for eg in embedded:
-        if started and eg.offset < depth_now:
-            _pad_to(col, depth_now, m)
+        if eg.offset < depth_now:
+            _pad(col, m - depth_now)
             columns.append(col)
             col, depth_now = [], 0
-        started = True
-        if eg.offset > depth_now:
-            col.append((identity_gate(eg.offset - depth_now), eg.offset - depth_now))
-            depth_now = eg.offset
+        _pad(col, eg.offset - depth_now)
         col.append((eg.unitary, eg.unitary.dim_qubits))
-        depth_now += eg.unitary.dim_qubits
-    _pad_to(col, depth_now, m)
+        depth_now = eg.offset + eg.unitary.dim_qubits
+    _pad(col, m - depth_now)
     columns.append(col)
 
     def build_column(entries: list[tuple[UnitaryMatrix, int]]) -> Proof:
@@ -173,9 +169,10 @@ def encode(circuit: Circuit) -> Proof:
     return proof
 
 
-def _pad_to(col: list[tuple[UnitaryMatrix, int]], depth_now: int, m: int) -> None:
-    if depth_now < m:
-        col.append((identity_gate(m - depth_now), m - depth_now))
+def _pad(col: list[tuple[UnitaryMatrix, int]], n: int) -> None:
+    """Append an identity rule on n qubits to the column, if n is positive."""
+    if n > 0:
+        col.append((identity_gate(n), n))
 
 
 def extract(proof: Proof, entry_pos: int, ctx: Context,

@@ -33,7 +33,9 @@ and encoding build many proofs that are never normalized, and would pay
 for them at construction.
 
 `step` fires one redex and rebuilds the path above it, sharing every
-subtree off that path with its input; the random strategy runs on it. The
+subtree off that path with its input; the random strategy runs on it. It
+fires only a node's own redex, as the node's summary names it, so each
+schema's shape is recognized in `_cut_redex` and `_summarize` alone. The
 leftmost loop of `normalize` instead holds the proof as a zipper: a focus
 subtree under a stack of parent frames. It fires at the focus and moves
 the focus to the next leftmost redex, so a step costs the distance between
@@ -62,9 +64,9 @@ from .errors import MachineError, ProofError, StaleRedexError
 from .formulas import dual, leading_run, modal_chain, print_formula, size
 from .matrices import identity_gate, matmul, tensor
 from .proofs import (AxiomRule, CutRule, ParRule, Path, Proof, QRule, TensorRule, children,
-                     conclusion_position, iter_nodes, path_str, premise_source, proofs_equal,
-                     rule_count, with_child)
-from .trees import memo_fold
+                     conclusion_position, path_str, premise_source, proofs_equal, rule_count,
+                     with_child)
+from .trees import fold, memo_fold
 
 Perm = tuple[int, ...]  # perm[old_pos - 1] = new_pos, 1-based
 
@@ -146,16 +148,13 @@ def _cut_redex(i: int, j: int, L: Proof, R: Proof) -> tuple | None:
             case = "A" if (i, j) == (2, 1) else "B"
             return "QuantumPrincipal", (case,)
         return None
-    if isinstance(R, ParRule) and j != lj:
-        return "CommutePar", ("R",)
-    if isinstance(R, TensorRule) and j != lj:
-        part = "CommuteTensorLeft" if j <= len(R.left.conclusion) - 1 else "CommuteTensorRight"
-        return part, ("R",)
-    if isinstance(L, ParRule) and i != li:
-        return "CommutePar", ("L",)
-    if isinstance(L, TensorRule) and i != li:
-        part = "CommuteTensorLeft" if i <= len(L.left.conclusion) - 1 else "CommuteTensorRight"
-        return part, ("L",)
+    # a par or tensor that does not introduce the cut formula commutes below the cut
+    for x, pos, side in ((R, j, "R"), (L, i, "L")):
+        src = premise_source(x, pos) if type(x) in (ParRule, TensorRule) else None
+        if src is not None:
+            if type(x) is ParRule:
+                return "CommutePar", (side,)
+            return ("CommuteTensorLeft", "CommuteTensorRight")[src[0]], (side,)
     return None
 
 
@@ -286,52 +285,36 @@ def first_redex(p: Proof) -> Redex | None:
 # firing a redex at its node
 
 
-# commuting kind -> (the rule moved below the cut, its premise holding the
-# cut formula, the rule's name in messages)
-_COMMUTED = {"CommutePar": (ParRule, 0, "par"), "CommuteTensorLeft": (TensorRule, 0, "tensor"),
-             "CommuteTensorRight": (TensorRule, 1, "tensor")}
-_CUT_SCHEMAS = {"AxiomRed", "MultPrincipal", "QuantumPrincipal", *_COMMUTED}
-
-
 def _stale(msg: str):
     raise StaleRedexError(f"redex does not match the proof: {msg}")
 
 
 def _fire(node: Proof, redex: Redex) -> tuple[Proof, Perm]:
+    """Fire `redex`, which must be `node`'s own redex: its kind and data, see `Summary.own`."""
+    own = summary(node).own
+    if own is None or own[1:] != (redex.kind, redex.data):
+        _stale(f"{redex.kind}{redex.data} is not the node's own redex")
     kind = redex.kind
-    if kind in _CUT_SCHEMAS and not isinstance(node, CutRule):
-        _stale("expected a cut")
     if kind == "AxiomRed":
         (side,) = redex.data
-        axiom = node.right if side == "right" else node.left
-        if not isinstance(axiom, AxiomRule):
-            _stale("expected an axiom premise")
         survivor = node.left if side == "right" else node.right
         return survivor, _axiom_elim_perm(node, side)
 
     if kind == "MultPrincipal":
-        (orient,) = redex.data
         L, R = node.left, node.right
-        if orient == "tensor_left":
-            if not (isinstance(L, TensorRule) and isinstance(R, ParRule)):
-                _stale("expected tensor against par")
+        if redex.data == ("tensor_left",):
             a, b, c, d = L.i, L.j, R.i, R.j
             inner = CutRule(b, d, L.right, R.sub)
             outer = CutRule(a, conclusion_position(inner, 1, c), L.left, inner)
-            return outer, _identity(len(node.conclusion))
-        if not (isinstance(L, ParRule) and isinstance(R, TensorRule)):
-            _stale("expected par against tensor")
-        c, d, a, b = L.i, L.j, R.i, R.j
-        inner = CutRule(c, a, L.sub, R.left)
-        outer = CutRule(conclusion_position(inner, 0, d), b, inner, R.right)
+        else:
+            c, d, a, b = L.i, L.j, R.i, R.j
+            inner = CutRule(c, a, L.sub, R.left)
+            outer = CutRule(conclusion_position(inner, 0, d), b, inner, R.right)
         return outer, _identity(len(node.conclusion))
 
     if kind == "QuantumPrincipal":
         L, R = node.left, node.right
-        if not (isinstance(L, QRule) and isinstance(R, QRule) and L.arity == R.arity):
-            _stale("expected quantum rules of equal arity")
-        (case,) = redex.data
-        if case == "A":
+        if redex.data == ("A",):
             # left rule contributes the boxed cut formula; its gate fires first
             inner = CutRule(L.box_source, R.diamond_source, L.sub, R.sub)
             return QRule(L.arity, matmul(R.gate, L.gate), inner), _identity(2)
@@ -339,31 +322,22 @@ def _fire(node: Proof, redex: Redex) -> tuple[Proof, Perm]:
         return QRule(L.arity, matmul(L.gate, R.gate), inner, flip=True), (2, 1)
 
     if kind == "EtaExpand":
-        if not isinstance(node, AxiomRule):
-            _stale("expected an axiom")
         run_kind, n = redex.data
-        got_kind, got_n, core = leading_run(node.formula)
-        if (got_kind, got_n) != (run_kind, n):
-            _stale("axiom prefix changed")
+        core = leading_run(node.formula)[2]
         if run_kind == "box":
             return QRule(n, identity_gate(n), AxiomRule(core)), _identity(2)
         return QRule(n, identity_gate(n), AxiomRule(dual(core))), (2, 1)
 
     if kind == "QContract":
-        if type(node) is not QRule or _own_over(node, 0, node.sub) is None:
-            _stale("expected a contractible quantum pair")
         inner = node.sub
         merged = QRule(inner.arity + node.arity, tensor(inner.gate, node.gate),
                        inner.sub, flip=inner.flip)
         return merged, _identity(2)
 
-    if kind in _COMMUTED:
-        return _fire_commute(node, redex)
-
-    _stale(f"unknown redex kind {kind!r}")
+    return _fire_commute(node, 0 if redex.data == ("L",) else 1)
 
 
-def _fire_commute(node: Proof, redex: Redex) -> tuple[Proof, Perm]:
+def _fire_commute(node: Proof, s: int) -> tuple[Proof, Perm]:
     """Move the par or tensor x on cut premise s below the cut.
 
     Above x's premise c that holds the cut formula, an inner cut takes x's
@@ -372,19 +346,14 @@ def _fire_commute(node: Proof, redex: Redex) -> tuple[Proof, Perm]:
     `premise_source`, then back up through the reduct with
     `conclusion_position`; x's principal formula stays last.
     """
-    (side,) = redex.data
-    s = 0 if side == "L" else 1
-    rule, c, name = _COMMUTED[redex.kind]
     x = children(node)[s]
-    src = premise_source(x, (node.i, node.j)[s]) if type(x) is rule else None
-    if src is None or src[0] != c:
-        _stale(f"expected a commutable {name} on the {('left', 'right')[s]}")
+    c, q = premise_source(x, (node.i, node.j)[s])
     cut, kids = [node.i, node.j], [node.left, node.right]
-    cut[s], kids[s] = src[1], children(x)[c]
+    cut[s], kids[s] = q, children(x)[c]
     inner = CutRule(*cut, *kids)
     xkids = list(children(x))
     xkids[c] = inner
-    repl = rule(*_args_into(x, c, lambda a: conclusion_position(inner, s, a)), *xkids)
+    repl = type(x)(*_args_into(x, c, lambda a: conclusion_position(inner, s, a)), *xkids)
     total = len(node.conclusion)
     perm = []
     for t in range(1, total + 1):
@@ -651,22 +620,21 @@ def canonical_form(p: Proof) -> Proof:
     lexicographically smaller axiom formula everywhere and lets the usual
     rebuild machinery absorb the induced position swaps.
     """
-    done: dict[Path, tuple[Proof, Perm]] = {}  # a node's canonical form and how it moved
-    for path, node in iter_nodes(p):
-        if isinstance(node, AxiomRule):
-            other = dual(node.formula)
-            if print_formula(other) < print_formula(node.formula):
-                done[path] = AxiomRule(other), (2, 1)
-            else:
-                done[path] = node, (1, 2)
-            continue
-        cur, sigma = node, _identity(len(node.conclusion))
-        for k in range(len(children(node))):
-            child, sig = done.pop(path + (k,))
-            cur, sig_out = _rebuild(cur, k, child, sig)
-            sigma = tuple(sig_out[x - 1] for x in sigma)
-        done[path] = cur, sigma
-    return done[()][0]
+    return fold(p, children, _canonical)[0]
+
+
+def _canonical(node: Proof, subs: list[tuple[Proof, Perm]]) -> tuple[Proof, Perm]:
+    """A node's canonical form and how its conclusion moved, given its children's."""
+    if type(node) is AxiomRule:
+        other = dual(node.formula)
+        if print_formula(other) < print_formula(node.formula):
+            return AxiomRule(other), (2, 1)
+        return node, (1, 2)
+    cur, sigma = node, _identity(len(node.conclusion))
+    for k, (child, sig) in enumerate(subs):
+        cur, sig_out = _rebuild(cur, k, child, sig)
+        sigma = tuple(sig_out[x - 1] for x in sigma)
+    return cur, sigma
 
 
 def equal_modulo_representation(p: Proof, q: Proof, gate_tol: float = 1e-9) -> bool:

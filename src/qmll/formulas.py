@@ -321,21 +321,4 @@ def contexts_for(f: Formula) -> list[tuple[Context, bool]]:
 
 
 def print_context(c: Context) -> str:
-    def render(i: int) -> str:
-        if i == len(c.steps):
-            return "[.]"
-        kind, other = c.steps[i]
-        inner = render(i + 1)
-        if kind == PAR_L:
-            return f"({inner} % {print_formula(other)})"
-        if kind == PAR_R:
-            return f"({print_formula(other)} % {inner})"
-        if kind == TENS_L:
-            return f"({inner} * {print_formula(other)})"
-        if kind == TENS_R:
-            return f"({print_formula(other)} * {inner})"
-        if kind == BOX_S:
-            return f"[] {inner}"
-        return f"<> {inner}"
-
-    return render(0)
+    return print_formula(subst(c, Atom("[.]")))

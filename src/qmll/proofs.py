@@ -28,6 +28,7 @@ checking constructor as the rule's `)` closes, so a proof of any depth that
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -39,7 +40,7 @@ from .errors import CheckFailure, PreconditionError, ProofError, ProofSyntaxErro
 from .formulas import (Atom, Formula, Par, Tensor, dual, is_modal, parse_formula_stream,
                        print_formula, wrap_modal)
 from .matrices import UnitaryMatrix, check_qubits, gate_by_name, render_rows
-from .trees import post_order
+from .trees import fold, post_order
 
 Sequent = tuple[Formula, ...]
 Path = tuple[int, ...]
@@ -267,9 +268,9 @@ def node_at(p: Proof, path: Path) -> Proof:
     return cur
 
 
-def iter_nodes(p: Proof, path: Path = ()) -> list[tuple[Path, Proof]]:
+def iter_nodes(p: Proof) -> list[tuple[Path, Proof]]:
     """Post-order (children first, left to right)."""
-    return post_order(p, children, path)
+    return post_order(p, children)
 
 
 def rule_count(p: Proof) -> int:
@@ -427,40 +428,22 @@ def check(p: Proof) -> CheckReport:
 def mll_axiom_link_matrix(p: Proof) -> np.ndarray:
     """Adjacency matrix of the axiom links over the conclusion's atoms.
 
-    Requires a cut-free, quantum-rule-free proof with atomic axioms. Atom
-    occurrences are numbered left to right across the conclusion sequent.
+    Requires a cut-free, quantum-rule-free proof with atomic axioms; the
+    first node in pre-order that breaks this is reported. Atom occurrences
+    are numbered left to right across the conclusion sequent.
     """
-    next_link = 0
+    links = itertools.count()
 
-    def go(node: Proof) -> list[list[int]]:
-        nonlocal next_link
-        match node:
-            case AxiomRule(f):
-                if not isinstance(f, Atom):
-                    raise PreconditionError(
-                        f"non-atomic axiom on {print_formula(f)}")
-                link = next_link
-                next_link += 1
-                return [[link], [link]]
-            case CutRule():
-                raise PreconditionError("proof contains a cut")
-            case QRule():
-                raise PreconditionError("proof contains a quantum rule")
-            case ParRule(i, j, s):
-                leaves = go(s)
-                merged = leaves[i - 1] + leaves[j - 1]
-                rest = [lv for k, lv in enumerate(leaves, start=1) if k not in (i, j)]
-                return rest + [merged]
-            case TensorRule(i, j, l, r):
-                ll, rl = go(l), go(r)
-                merged = ll[i - 1] + rl[j - 1]
-                rest = [lv for k, lv in enumerate(ll, start=1) if k != i]
-                rest += [lv for k, lv in enumerate(rl, start=1) if k != j]
-                return rest + [merged]
-        raise QmllError(f"not a proof node: {node!r}")
+    def leaves(node: Proof, subs: list) -> list[list[int]]:
+        """The links of each conclusion formula's atoms, left to right."""
+        if type(node) is AxiomRule:
+            link = next(links)
+            return [[link], [link]]
+        other = 0 if type(node) is ParRule else 1  # the premise holding position j
+        srcs = [premise_source(node, t) for t in range(1, len(node.conclusion))]
+        return [subs[c][q - 1] for c, q in srcs] + [subs[0][node.i - 1] + subs[other][node.j - 1]]
 
-    per_formula = go(p)
-    flat: list[int] = [link for leaves in per_formula for link in leaves]
+    flat: list[int] = [link for lv in fold(p, _mll_premises, leaves) for link in lv]
     n = len(flat)
     m = np.zeros((n, n), dtype=int)
     by_link: dict[int, list[int]] = {}
@@ -470,6 +453,18 @@ def mll_axiom_link_matrix(p: Proof) -> np.ndarray:
         a, b = pair
         m[a, b] = m[b, a] = 1
     return m
+
+
+def _mll_premises(node: Proof) -> tuple[Proof, ...]:
+    """The children of a node of a cut-free, quantum-rule-free proof with atomic axioms."""
+    t = type(node)
+    if t is AxiomRule and not isinstance(node.formula, Atom):
+        raise PreconditionError(f"non-atomic axiom on {print_formula(node.formula)}")
+    if t is CutRule:
+        raise PreconditionError("proof contains a cut")
+    if t is QRule:
+        raise PreconditionError("proof contains a quantum rule")
+    return children(node)
 
 
 # ---------------------------------------------------------------------------

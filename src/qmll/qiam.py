@@ -16,6 +16,7 @@ top first. depth(context) + len(stack) is invariant along a run.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -253,10 +254,11 @@ def initial_state(graph: OccurrenceGraph, entry_pos: int, ctx: Context,
 def run(graph: OccurrenceGraph, start: MachineState,
         collect_trace: bool = False) -> RunResult:
     """Move the token from `start` until it is final, on node ids: a path is built
-    for the final state, and for each traced state."""
+    for the final state, and for each traced state. Routing never reads the register;
+    the gate events are applied to it once the run is final."""
     bound = graph.legal_state_bound() + 2
-    i, pos, ctx, positive, stack, register = (graph.node_id(start.path), start.pos, start.ctx,
-                                              start.positive, start.stack, start.register)
+    i, pos, ctx, positive, stack = (graph.node_id(start.path), start.pos, start.ctx,
+                                    start.positive, start.stack)
     events: list[GateEvent] = []
     trace: list[str] = []
     steps = 0
@@ -268,6 +270,9 @@ def run(graph: OccurrenceGraph, start: MachineState,
                                                          stack)))
         res = _move(graph, i, pos, ctx, positive, stack)
         if res is None:
+            register = start.register
+            if register is not None and events:
+                register = StateVector(register.n_qubits, _apply(events, register.amplitudes))
             final = MachineState(graph.path_of(i), pos, ctx, positive, stack, register)
             return RunResult(final, tuple(events), steps, tuple(trace))
         if isinstance(res, str):
@@ -275,14 +280,19 @@ def run(graph: OccurrenceGraph, start: MachineState,
         i, pos, ctx, positive, stack, event = res
         if event is not None:
             events.append(event)
-            if register is not None:
-                register = apply_at(event.applied(), register, event.offset)
             if collect_trace:
                 arrow = "" if event.forward else " (adjoint)"
                 trace.append(f"  apply {event.gate.name or 'gate'}{arrow} at offset {event.offset}")
         steps += 1
         if steps > bound:
             raise MachineError("run exceeded the legal-state bound")
+
+
+def _apply(events: Sequence[GateEvent], a: np.ndarray) -> np.ndarray:
+    """`a` after each event's gate in run order; its trailing axis may hold a batch of columns."""
+    for ev in events:
+        a = apply_gate(ev.applied().data, a, ev.offset)
+    return a
 
 
 def _trace_line(graph: OccurrenceGraph, s: MachineState) -> str:
@@ -313,9 +323,7 @@ def semantics_relative(proof: Proof, entry_pos: int, ctx: Context) -> SemanticsR
     graph = OccurrenceGraph(proof)
     start = initial_state(graph, entry_pos, ctx)
     res = run(graph, start)
-    u = np.eye(2 ** depth(ctx), dtype=complex)
-    for ev in res.events:
-        u = apply_gate(ev.applied().data, u, ev.offset)
+    u = _apply(res.events, np.eye(2 ** depth(ctx), dtype=complex))
     return SemanticsResult(entry_pos, ctx, res.final.pos, res.final.ctx,
                            UnitaryMatrix.composed(u), res.events, res.steps)
 

@@ -36,16 +36,38 @@ def memo_fold(root: N, attr: str, kids: Callable[[N], Sequence[N]],
     return getattr(root, attr)
 
 
-def post_order(root: N, kids: Callable[[N], Sequence[N]],
-               path: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], N]]:
-    """Every node with its path of child indices from `path`, children first, left to right.
+def fold(root: N, kids: Callable[[N], Sequence[N]], combine: Callable[[N, list], V]) -> V:
+    """`combine(node, values)` at `root`, where `values` are the folds of node's children.
+
+    `kids` is called on each node in pre-order, left to right, and `combine`
+    on each node after its children, in the reverse of that order. The walk
+    runs on an explicit stack and stores nothing on the nodes: a subtree
+    shared between several places is folded once per place it appears.
+    """
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        sub = kids(node)
+        order.append((node, len(sub)))
+        stack.extend(reversed(sub))
+    values: list = []  # folds waiting for their parent; a node's children on top, leftmost last
+    for node, n in reversed(order):
+        done = values[:-n - 1:-1]
+        del values[len(values) - n:]
+        values.append(combine(node, done))
+    return values[0]
+
+
+def post_order(root: N, kids: Callable[[N], Sequence[N]]) -> list[tuple[tuple[int, ...], N]]:
+    """Every node with its path of child indices, children first, left to right.
 
     Popping the last child first lists each node before its children, right
     to left; that order reversed is the post-order. The walk runs on an
     explicit stack, so tree depth never meets the recursion limit.
     """
     out = []
-    stack = [(path, root)]
+    stack = [((), root)]
     while stack:
         at, node = stack.pop()
         out.append((at, node))

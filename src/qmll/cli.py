@@ -7,6 +7,7 @@ violations), 2 usage and parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -139,11 +140,13 @@ def _cmd_extract(args) -> int:
 def _cmd_mll_matrix(args) -> int:
     proof = parse_proof(_read(args.proof))
     m = mll_axiom_link_matrix(proof)
-    rows = ",".join("[" + ",".join(str(int(x)) for x in row) + "]" for row in m)
-    _write(f'{{"size":{m.shape[0]},"matrix":[{rows}]}}', args.output)
+    n = m.shape[0]  # each row holds one 1: an atom's axiom link
+    rows = ",".join(f"[{'0,' * c}1{',0' * (n - 1 - c)}]" for c in m.argmax(axis=1).tolist())
+    _write(f'{{"size":{n},"matrix":[{rows}]}}', args.output)
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qmll", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -193,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except SyntaxLocationError as e:

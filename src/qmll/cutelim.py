@@ -23,29 +23,31 @@ suspends another, so divergent picks rejoin in one step. The remaining
 families can spawn higher-priority work when they fire, so they are
 offered one instance at a time.
 
-Each node carries a `Summary` (rule count, weight, the redex families in
-its subtree, its own redex), computed the first time it is asked for and
-stored on the frozen node, so summarizing a new proof visits only the
-nodes built since. `weight`, `rule_count` and the default step bound read
-the root's summary, and `find_redexes` and `first_redex` enter only the
-subtrees that hold the offered family. Summaries stay lazy because parsing
-and encoding build many proofs that are never normalized, and would pay
-for them at construction.
+Each node carries a `Summary` (rule count, weight, how many redexes of each
+family its subtree holds, its own redex), computed the first time it is
+asked for and stored on the frozen node, so summarizing a new proof visits
+only the nodes built since. `weight`, `rule_count` and the default step
+bound read the root's summary, and `find_redexes` and `first_redex` enter
+only the subtrees that hold the offered family. Summaries stay lazy
+because parsing and encoding build many proofs that are never normalized,
+and would pay for them at construction.
 
-`step` fires one redex and rebuilds the path above it, sharing every
-subtree off that path with its input; the random strategy runs on it. It
-fires only a node's own redex, as the node's summary names it, so each
-schema's shape is recognized in `_cut_redex` and `_summarize` alone. The
-leftmost loop of `normalize` instead holds the proof as a zipper: a focus
-subtree under a stack of parent frames. It fires at the focus and moves
-the focus to the next leftmost redex, so a step costs the distance between
-consecutive redexes, not their depth. A parent is rebuilt only when the
-focus leaves it upwards, and the root once, at the end. A step's
-permutation is pushed into the frames only until it becomes the identity,
-and the frames keep running ORs of the family masks on either side of the
-path, so finding the next redex's family and its side of the focus is
-O(1). The weight is tracked by delta and still checked to fall on every
-step; the root's summary must agree with it at the end.
+One engine fires redexes: a zipper (`_Zipper`) that holds the proof as a
+focus subtree under a stack of parent frames. The frames keep running sums
+of the redex counts on either side of the path, so the offered family and
+its number of instances are known in O(1). Each step picks the index of an
+offered redex in post-order (0 for the leftmost strategy, a draw of the
+seeded generator for the random one), moves the focus up only while that
+index lies outside it, then down by counts, and fires there. A step thus
+costs the distance between consecutive redexes, not their depth. The
+step's permutation is pushed into the frames only until it becomes the
+identity; a parent is rebuilt only when the focus leaves it upwards, and
+the root once, when the zipper closes. The weight is tracked by delta and
+still checked to fall on every step; the root's summary must agree with it
+at the end. `step` runs the same engine on one redex: it opens a zipper
+along the redex path, fires, and closes. It fires only a node's own redex,
+as the node's summary names it, so each schema's shape is recognized in
+`_cut_redex` and `_summarize` alone.
 
 A rebuilt node whose new premise concludes the very same formula objects
 keeps its validated conclusion; every other node is built by its checking
@@ -162,6 +164,8 @@ _FAMILY = {"EtaExpand": 0, "AxiomRed": 1, "QContract": 2, "MultPrincipal": 3,
            "QuantumPrincipal": 4, "CommutePar": 5, "CommuteTensorLeft": 5,
            "CommuteTensorRight": 5}
 _SINGLE = {3, 4, 5}  # families whose firing can spawn higher-priority redexes
+_WIDTH = 32  # bits per family in `Summary.counts`
+_FIELD = (1 << _WIDTH) - 1
 
 
 class Summary(NamedTuple):
@@ -169,15 +173,16 @@ class Summary(NamedTuple):
     rules: int  # rule instances
     weight: int  # the termination measure, see `weight`
     mult: int  # multiplicative rules
-    mask: int  # bit f is set iff the subtree holds a redex of family f
+    counts: int  # bits 32f to 32f + 31 count the subtree's redexes of family f
     own: tuple | None  # the node's own redex as (family, kind, data)
 
 
 _QCONTRACT = (2, "QContract", ())
 
 
-def _bit(own: tuple | None) -> int:
-    return 0 if own is None else 1 << own[0]
+def _one(own: tuple | None) -> int:
+    """The counts of a lone redex `own`: one in its family's bits."""
+    return 0 if own is None else 1 << _WIDTH * own[0]
 
 
 def _own_over(node: Proof, k: int, child: Proof) -> tuple | None:
@@ -199,23 +204,23 @@ def _summarize(node: Proof, subs: list[Summary]) -> Summary:
     if t is AxiomRule:
         kind, n, _ = leading_run(node.formula)
         own = (0, "EtaExpand", (kind, n)) if n else None
-        return Summary(1, 2 * modal_chain(node.formula) + 1, 0, _bit(own), own)
+        return Summary(1, 2 * modal_chain(node.formula) + 1, 0, _one(own), own)
     if t is QRule:
         (s,) = subs
         own = _own_over(node, 0, node.sub)
-        return Summary(s.rules + 1, s.weight + 1, s.mult, s.mask | _bit(own), own)
+        return Summary(s.rules + 1, s.weight + 1, s.mult, s.counts + _one(own), own)
     if t is ParRule:
         (s,) = subs
-        return Summary(s.rules + 1, s.weight + 1, s.mult + 1, s.mask, None)
+        return Summary(s.rules + 1, s.weight + 1, s.mult + 1, s.counts, None)
     l, r = subs
     if t is TensorRule:
         return Summary(l.rules + r.rules + 1, l.weight + r.weight + 1, l.mult + r.mult + 1,
-                       l.mask | r.mask, None)
+                       l.counts + r.counts, None)
     # a cut weighs its formula's size, scaled by the multiplicative rules above it
     m = l.mult + r.mult
     w = l.weight + r.weight + 3 ** size(node.cut_formula) * (1 + m)
     own = _own_over(node, 0, node.left)
-    return Summary(l.rules + r.rules + 1, w, m, l.mask | r.mask | _bit(own), own)
+    return Summary(l.rules + r.rules + 1, w, m, l.counts + r.counts + _one(own), own)
 
 
 def summary(p: Proof) -> Summary:
@@ -226,59 +231,18 @@ def summary(p: Proof) -> Summary:
 def find_redexes(p: Proof) -> list[Redex]:
     """Offered redexes of the highest-priority nonempty family, in post-order.
 
-    The root's family mask names that family; the walk enters only the
-    subtrees whose mask holds it.
+    A zipper seeks each in turn, entering only the subtrees that hold it.
     """
-    mask = summary(p).mask
-    if not mask:
-        return []
-    fam = (mask & -mask).bit_length() - 1
-    bit = 1 << fam
-    out: list[Redex] = []
-    stack: list[tuple[Proof, Path, bool]] = [(p, (), False)]
-    while stack:
-        node, path, expanded = stack.pop()
-        if expanded:
-            own = node.summary.own
-            if own is not None and own[0] == fam:
-                out.append(Redex(own[1], path, own[2]))
-                if fam in _SINGLE:
-                    break
-            continue
-        stack.append((node, path, True))
-        kids = children(node)
-        for k in range(len(kids) - 1, -1, -1):
-            if kids[k].summary.mask & bit:
-                stack.append((kids[k], path + (k,), False))
-    return out
-
-
-def _leftmost(node: Proof, bit: int) -> tuple[list[tuple[Proof, int]], Proof]:
-    """The way from `node` down to its first node, in post-order, whose own redex is in `bit`.
-
-    `node`'s mask must hold `bit`. Each level enters the first child whose
-    mask holds it; a node none of whose children do is the hit. Returns the
-    (ancestor, child index) pairs passed on the way, and the hit.
-    """
-    way: list[tuple[Proof, int]] = []
-    while True:
-        for k, c in enumerate(children(node)):
-            if c.summary.mask & bit:
-                way.append((node, k))
-                node = c
-                break
-        else:
-            return way, node
+    z = _Zipper(p)
+    fam, n = z.offered()
+    return [z.seek(fam, i) for i in range(n)]
 
 
 def first_redex(p: Proof) -> Redex | None:
     """`find_redexes(p)[0]`, or None: it walks one path and stops at the first hit."""
-    mask = summary(p).mask
-    if not mask:
-        return None
-    way, node = _leftmost(p, mask & -mask)
-    _, kind, data = node.summary.own
-    return Redex(kind, tuple(k for _, k in way), data)
+    z = _Zipper(p)
+    fam, n = z.offered()
+    return z.seek(fam, 0) if n else None
 
 
 # ---------------------------------------------------------------------------
@@ -407,31 +371,8 @@ def _rebuild(node: Proof, k: int, new_child: Proof, sig: Perm) -> tuple[Proof, P
     return repl, tuple(perm)
 
 
-def step(proof: Proof, redex: Redex) -> tuple[Proof, Perm]:
-    """Fire `redex`; returns the new proof and the root conclusion permutation.
-
-    Walks down the redex path, fires at its end, then rebuilds the spine
-    bottom-up. Every subtree off the spine is shared with `proof`, so
-    summarizing the result costs only the nodes this step built.
-    """
-    spine: list[Proof] = []
-    node = proof
-    for d, k in enumerate(redex.path):
-        kids = children(node)
-        if k >= len(kids):
-            _stale(f"no child {k} at {path_str(redex.path[:d])}")
-        spine.append(node)
-        node = kids[k]
-    new, sigma = _fire(node, redex)
-    summary(new)
-    for parent, k in zip(reversed(spine), reversed(redex.path)):
-        new, sigma = _rebuild(parent, k, new, sigma)
-        summary(new)
-    return new, sigma
-
-
 # ---------------------------------------------------------------------------
-# termination measure
+# termination measure and the entry points onto the engine
 
 
 def weight(p: Proof) -> int:
@@ -451,38 +392,37 @@ def normalize(p: Proof, strategy: str = "leftmost-innermost", seed: int = 0,
 
     Every step must strictly lower the weight, which is checked on each
     one, so the weight of `p` bounds the number of steps; it is the default
-    `bound`. Exceeding the bound raises `MachineError`. The leftmost
-    strategy runs on a zipper (`_Zipper`); the random one fires a random
-    pick of `find_redexes` with `step`.
+    `bound`. Exceeding the bound raises `MachineError`. Both strategies run
+    one zipper loop (`_Zipper.normalize`) that seeks each redex by its index
+    among the offered ones, in post-order: the leftmost strategy takes index
+    0, and the random one draws it with `random.Random(seed).choice`, the
+    draw it made when it picked from the `find_redexes` list.
     """
     if strategy not in ("leftmost-innermost", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
     limit = bound if bound is not None else weight(p)
-    if strategy == "leftmost-innermost":
-        return _Zipper(p).normalize(limit)
-    rng = random.Random(seed)
-    cur = p
-    w_cur = weight(cur)
-    steps: list[TraceStep] = []
-    perms: list[Perm] = []
-    while True:
-        redexes = find_redexes(cur)
-        if not redexes:
-            return ReductionTrace(steps, cur, w_cur, perms)
-        r = rng.choice(redexes)
-        nxt, sigma = step(cur, r)
-        w_nxt = weight(nxt)
-        if w_nxt >= w_cur:
-            raise MachineError(f"weight failed to decrease on {r}: {w_cur} -> {w_nxt}")
-        steps.append(TraceStep(r, rule_count(cur), w_cur))
-        perms.append(sigma)
-        cur, w_cur = nxt, w_nxt
-        if len(steps) > limit:
-            raise MachineError("normalization exceeded its step bound")
+    rng = random.Random(seed) if strategy == "random" else None
+    return _Zipper(p).normalize(limit, rng)
+
+
+def step(proof: Proof, redex: Redex) -> tuple[Proof, Perm]:
+    """Fire `redex`; returns the new proof and the root conclusion permutation.
+
+    Opens a zipper along the redex path, fires at its end and closes the
+    zipper to the root. Every subtree off the path is shared with `proof`,
+    so summarizing the result costs only the nodes this step built.
+    """
+    z = _Zipper(proof)
+    for d, k in enumerate(redex.path):
+        if k >= len(children(z.focus)):
+            _stale(f"no child {k} at {path_str(redex.path[:d])}")
+        z.down(k)
+    sigma = z.fire(redex)
+    return z.close(), sigma
 
 
 # ---------------------------------------------------------------------------
-# the leftmost loop on a zipper
+# the one engine: a zipper
 
 
 class _Frame:
@@ -491,10 +431,11 @@ class _Frame:
     `node` may still hold an earlier version of child k: it is brought up to
     date only when the focus leaves it upwards. Its position arguments are
     always current, because a step's permutation is pushed into them, and
-    `own` is its own redex over the current child. `left` is the OR of the
-    family masks of everything left of the path at this frame and above,
-    `right` the same for what lies right of it, ancestors' own redexes
-    included; `scale` sums 3^size(cut formula) over the cuts among them.
+    `own` is its own redex over the current child. `left` sums the redex
+    counts of everything left of the path at this frame and above, which is
+    everything before the focus in post-order; `right` does the same for
+    what lies right of it, ancestors' own redexes included. `scale` sums
+    3^size(cut formula) over the cuts among the frames.
     """
 
     __slots__ = ("node", "k", "own", "rsib", "left", "right", "scale")
@@ -502,31 +443,38 @@ class _Frame:
     def __init__(self, node: Proof, k: int, above: _Frame | None):
         kids = children(node)
         self.node, self.k, self.own = node, k, node.summary.own
-        self.rsib = kids[1].summary.mask if k == 0 and len(kids) == 2 else 0
-        lsib = kids[0].summary.mask if k else 0
+        self.rsib = kids[1].summary.counts if k == 0 and len(kids) == 2 else 0
+        lsib = kids[0].summary.counts if k else 0
         scale = 3 ** size(node.cut_formula) if type(node) is CutRule else 0
         if above is None:
             self.left, self.right, self.scale = lsib, 0, scale
         else:
-            self.left, self.right = above.left | lsib, above.right
+            self.left, self.right = above.left + lsib, above.right
             self.scale = above.scale + scale
-        self.right |= self.rsib | _bit(self.own)
+        self.right += self.rsib + _one(self.own)
 
 
 class _Zipper:
     """A proof held as a focus subtree under a stack of frames (Huet, "The Zipper", 1997).
 
-    The leftmost loop fires at the focus and then moves it to the next
-    leftmost redex, so a step costs the way between consecutive redexes
-    rather than the depth of the redex. The frames' masks say whether that
-    redex lies left of the focus, inside it, or after it; the weight and
-    the rule count are tracked by delta.
+    Normalization seeks an offered redex, fires at the focus and seeks
+    again, so a step costs the way between consecutive redexes rather than
+    the depth of the redex. The frames' counts say whether a redex lies
+    left of the focus, inside it, or after it; the weight and the rule
+    count are tracked by delta.
     """
 
     def __init__(self, p: Proof):
         s = summary(p)
         self.focus, self.frames, self.path = p, [], []
         self.weight, self.rules, self.width = s.weight, s.rules, len(p.conclusion)
+
+    def down(self, k: int) -> None:
+        """Move the focus to its child k."""
+        frames = self.frames
+        frames.append(_Frame(self.focus, k, frames[-1] if frames else None))
+        self.path.append(k)
+        self.focus = children(self.focus)[k]
 
     def up(self) -> None:
         """Move the focus to its parent, which gets the focus as child k."""
@@ -538,23 +486,43 @@ class _Zipper:
             summary(node)
         self.focus = node
 
-    def seek(self) -> Redex | None:
-        """Move the focus to the leftmost offered redex and return it, or None if there is none."""
+    def offered(self) -> tuple[int, int]:
+        """The offered family and how many of its redexes are offered (0 when none is)."""
+        counts = self.focus.summary.counts
+        if self.frames:
+            counts += self.frames[-1].left + self.frames[-1].right
+        if not counts:
+            return 0, 0
+        fam = ((counts & -counts).bit_length() - 1) // _WIDTH  # the field of the lowest bit
+        return fam, 1 if fam in _SINGLE else counts >> _WIDTH * fam & _FIELD
+
+    def seek(self, fam: int, i: int) -> Redex:
+        """Move the focus to offered redex number i of family `fam`, in post-order, and return it.
+
+        The focus moves up while redex i lies outside it, then down into the
+        child holding it, skipping the children whose redexes come before it.
+        At i = 0 each level enters the first child holding the family at all.
+        Counts and i are compared scaled, as they sit in the family's bits.
+        """
+        field = _FIELD << _WIDTH * fam
+        i <<= _WIDTH * fam
         frames = self.frames
-        mask = self.focus.summary.mask
-        if frames:
-            mask |= frames[-1].left | frames[-1].right
-        if not mask:
-            return None
-        bit = mask & -mask
-        while frames and (frames[-1].left & bit or not self.focus.summary.mask & bit):
+        while frames:
+            before = frames[-1].left & field
+            if before <= i < before + (self.focus.summary.counts & field):
+                i -= before
+                break
             self.up()
-        way, self.focus = _leftmost(self.focus, bit)
-        for node, k in way:
-            frames.append(_Frame(node, k, frames[-1] if frames else None))
-            self.path.append(k)
-        _, kind, data = self.focus.summary.own
-        return Redex(kind, tuple(self.path), data)
+        while True:
+            for k, c in enumerate(children(self.focus)):
+                n = c.summary.counts & field
+                if i < n:
+                    self.down(k)
+                    break
+                i -= n
+            else:
+                _, kind, data = self.focus.summary.own
+                return Redex(kind, tuple(self.path), data)
 
     def fire(self, r: Redex) -> Perm:
         """Fire `r` at the focus; returns the root conclusion permutation.
@@ -588,27 +556,42 @@ class _Zipper:
             frames[d].own = _own_over(frames[d].node, frames[d].k, new)
         right = frames[d - 1].right if d else 0
         for fr in frames[d:]:
-            right |= fr.rsib | _bit(fr.own)
+            right += fr.rsib + _one(fr.own)
             fr.right = right
         return root_sigma
 
-    def normalize(self, limit: int) -> ReductionTrace:
-        """Fire leftmost redexes until none is left, then build the root."""
-        steps: list[TraceStep] = []
-        perms: list[Perm] = []
-        while (r := self.seek()) is not None:
-            w, rules = self.weight, self.rules
-            perms.append(self.fire(r))
-            steps.append(TraceStep(r, rules, w))
-            if len(steps) > limit:
-                raise MachineError("normalization exceeded its step bound")
+    def close(self) -> Proof:
+        """Move the focus up to the root and return it.
+
+        The tracked weight and rule count must equal the root's summary.
+        """
         while self.frames:
             self.up()
         s = summary(self.focus)
         if (s.weight, s.rules) != (self.weight, self.rules):
             raise MachineError(f"tracked weight {self.weight} and rule count {self.rules} "
-                               f"differ from the normal form's {s.weight} and {s.rules}")
-        return ReductionTrace(steps, self.focus, self.weight, perms)
+                               f"differ from the root's {s.weight} and {s.rules}")
+        return self.focus
+
+    def normalize(self, limit: int, rng: random.Random | None) -> ReductionTrace:
+        """Fire offered redexes until none is left, then close.
+
+        Each step takes the leftmost offered redex, or with `rng` the one
+        `rng.choice` picks among all offered, which for a family offered one
+        at a time is still a draw.
+        """
+        steps: list[TraceStep] = []
+        perms: list[Perm] = []
+        while True:
+            fam, n = self.offered()
+            if not n:
+                return ReductionTrace(steps, self.close(), self.weight, perms)
+            r = self.seek(fam, 0 if rng is None else rng.choice(range(n)))
+            w, rules = self.weight, self.rules
+            perms.append(self.fire(r))
+            steps.append(TraceStep(r, rules, w))
+            if len(steps) > limit:
+                raise MachineError("normalization exceeded its step bound")
 
 
 def canonical_form(p: Proof) -> Proof:

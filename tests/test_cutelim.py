@@ -656,8 +656,8 @@ def test_first_redex_is_the_first_offered_along_golden_normalizations(seed, qubi
         assert first_redex(cur) == (find_redexes(cur) or [None])[0]
 
 
-def summaries_per_step(monkeypatch, seed, gates):
-    """Summaries computed per leftmost step, the input's own aside."""
+def summaries_per_step(monkeypatch, seed, gates, strategy="leftmost-innermost"):
+    """Summaries computed per step of `strategy` (seed 0), the input's own aside."""
     p = encode(circuit_from_json(random_circuit(seed, 3, gates)))
     summary(p)
     calls = 0
@@ -670,7 +670,7 @@ def summaries_per_step(monkeypatch, seed, gates):
 
     with monkeypatch.context() as m:
         m.setattr(cutelim, "_summarize", counting)
-        steps = len(normalize(p).steps)
+        steps = len(normalize(p, strategy=strategy).steps)
     return calls / steps
 
 
@@ -697,3 +697,56 @@ def test_a_tracked_weight_that_drifts_is_caught(monkeypatch):
     monkeypatch.setattr(cutelim._Frame, "__init__", skewed)
     with pytest.raises(MachineError, match="tracked weight"):
         normalize(p)
+
+
+# ---------------------------------------------------------------------------
+# the random strategy against the loop it ran on before the zipper:
+# find_redexes, a seeded choice, then step
+
+
+def random_by_step(p, seed):
+    """The random strategy's trace steps, perms, final proof and weight, from whole proofs."""
+    rng = random.Random(seed)
+    cur, w = p, weight(p)
+    steps, perms = [], []
+    while redexes := ref_find_redexes(cur):
+        r = rng.choice(redexes)
+        nxt, sigma = ref_step(cur, r)
+        w_next = weight(nxt)
+        assert w_next < w, r
+        steps.append(TraceStep(r, rule_count(cur), w))
+        perms.append(sigma)
+        cur, w = nxt, w_next
+    return steps, perms, cur, w
+
+
+def assert_random_matches_step_loop(p, seed):
+    trace = normalize(p, strategy="random", seed=seed)
+    steps, perms, final, w = random_by_step(p, seed)
+    assert trace.steps == steps
+    assert trace.perms == perms
+    assert trace.final_weight == w
+    assert proofs_equal(trace.final, final, gate_tol=0)
+
+
+def test_random_strategy_matches_step_loop_on_corpus():
+    for p in differential_corpus():
+        for seed in range(20):
+            assert_random_matches_step_loop(p, seed)
+
+
+@pytest.mark.parametrize("seed,qubits,gates", GOLDEN_CIRCUITS)
+def test_random_strategy_matches_step_loop_on_golden_circuits(seed, qubits, gates):
+    p = encode(circuit_from_json(random_circuit(seed, qubits, gates)))
+    for s in range(20):
+        assert_random_matches_step_loop(p, s)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_random_step_work_is_a_fraction_of_the_redex_depth(monkeypatch, seed):
+    # rebuilding the path above each fired redex would cost one summary per
+    # frame of its depth; the zipper moves only between consecutive picks
+    p = encode(circuit_from_json(random_circuit(seed, 3, 480)))
+    trace = normalize(p, strategy="random")
+    depth = sum(len(s.redex.path) for s in trace.steps) / len(trace.steps)
+    assert summaries_per_step(monkeypatch, seed, 480, strategy="random") <= depth / 3

@@ -2,7 +2,10 @@
 
 The files under `golden/` were recorded with the recursive, unmemoized
 normalizer; the memoized one must reproduce every trace line and every
-character of the normal form.
+character of the normal form. The `*.random7.trace` files were recorded
+with `--strategy random --seed 7` while that strategy still picked from
+`find_redexes` and fired with `step`; its normal forms are the leftmost
+ones, byte for byte.
 """
 
 from pathlib import Path
@@ -20,13 +23,13 @@ CASES = {  # name -> (seed, qubits, gates)
 }
 
 
-def normalize_outputs(tmp_path: Path, capsys, name: str) -> tuple[str, str]:
-    """The stderr trace and the normal-form text of `qmll normalize --trace`."""
+def normalize_outputs(tmp_path: Path, capsys, name: str, *options: str) -> tuple[str, str]:
+    """The stderr trace and the normal-form text of `qmll normalize --trace [options]`."""
     circuit, proof, nf = (tmp_path / f"{name}.{ext}" for ext in ("json", "proof", "nf"))
     circuit.write_text(random_circuit(*CASES[name]))
     assert main(["encode", str(circuit), "-o", str(proof)]) == 0
     capsys.readouterr()
-    assert main(["normalize", str(proof), "--trace", "-o", str(nf)]) == 0
+    assert main(["normalize", str(proof), "--trace", *options, "-o", str(nf)]) == 0
     return capsys.readouterr().err, nf.read_text()
 
 
@@ -34,4 +37,11 @@ def normalize_outputs(tmp_path: Path, capsys, name: str) -> tuple[str, str]:
 def test_normalize_trace_and_normal_form_match_golden(tmp_path, capsys, name):
     trace, nf = normalize_outputs(tmp_path, capsys, name)
     assert trace == (GOLDEN / f"{name}.trace").read_text()
+    assert nf == (GOLDEN / f"{name}.nf").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_random_strategy_trace_and_normal_form_match_golden(tmp_path, capsys, name):
+    trace, nf = normalize_outputs(tmp_path, capsys, name, "--strategy", "random", "--seed", "7")
+    assert trace == (GOLDEN / f"{name}.random7.trace").read_text()
     assert nf == (GOLDEN / f"{name}.nf").read_text()

@@ -198,7 +198,7 @@ def extract(proof: Proof, entry_pos: int, ctx: Context,
 
 
 def circuit_from_json(text: str) -> Circuit:
-    try:  # malformed JSON, and values of the wrong JSON type, fail the call that reads them
+    try:  # malformed or too deeply nested JSON and wrongly typed values fail where read
         obj = json.loads(text)
         if not isinstance(obj, dict) or "qubits" not in obj:
             raise QmllError("circuit JSON must be an object with a 'qubits' field")
@@ -210,13 +210,13 @@ def circuit_from_json(text: str) -> Circuit:
             if isinstance(g.get("gate"), str):
                 u = gate_by_name(g["gate"])
             elif "matrix" in g:
-                rows = [[complex(e[0], e[1]) for e in row] for row in g["matrix"]]
+                rows = [[_json_complex(e) for e in row] for row in g["matrix"]]
                 u = UnitaryMatrix(np.array(rows, dtype=complex))
             else:
                 raise QmllError("gate entries need either a 'gate' name or a 'matrix'")
             gates.append((u, targets))
         return Circuit(_json_int(obj["qubits"]), tuple(gates))
-    except (TypeError, ValueError, IndexError, OverflowError) as e:  # JSONDecodeError too
+    except (TypeError, ValueError, IndexError, OverflowError, RecursionError) as e:
         raise QmllError(f"bad circuit JSON: {e}") from e
 
 
@@ -224,6 +224,12 @@ def _json_int(v: object) -> int:
     if type(v) is not int:  # a float, a string, or a bool, which Python counts as an int
         raise TypeError(f"expected a JSON integer, found {json.dumps(v)}")
     return v
+
+
+def _json_complex(v: object) -> complex:
+    if type(v) is not list or len(v) != 2 or any(type(x) not in (int, float) for x in v):
+        raise TypeError(f"expected an entry [re,im] of two JSON numbers, found {json.dumps(v)}")
+    return complex(*v)
 
 
 def circuit_to_json(circuit: Circuit) -> str:

@@ -23,7 +23,7 @@ from .qiam import OccurrenceGraph, initial_state, negative_entries, run, semanti
 
 
 class InputError(ValueError):
-    """A command-line value of the wrong shape; exits 2, as malformed JSON does."""
+    """A command-line value of the wrong shape, malformed JSON included; exits 2."""
 
 
 def _read(path: str) -> str:
@@ -69,10 +69,9 @@ def _parse_state(arg: str | None, n: int) -> StateVector:
     if arg.startswith("|"):
         label = arg.strip("|>")
         return basis_state(label)
-    data = json.loads(arg)
-    try:
-        amps = [complex(re, im) for re, im in data]
-    except (TypeError, ValueError) as e:
+    try:  # JSONDecodeError is a ValueError; too deep a nesting, a RecursionError
+        amps = [complex(re, im) for re, im in json.loads(arg)]
+    except (TypeError, ValueError, OverflowError, RecursionError) as e:
         raise InputError(f"--input must be a JSON list of [re,im] pairs: {e}") from e
     return StateVector(n, np.array(amps, dtype=complex))
 
@@ -208,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     except (QmllError, MemoryError) as e:  # numpy's MemoryError names the allocation
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, InputError) as e:
+    except (OSError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -49,10 +49,10 @@ along the redex path, fires, and closes. It fires only a node's own redex,
 as the node's summary names it, so each schema's shape is recognized in
 `_cut_redex` and `_summarize` alone.
 
-A rebuilt node whose new premise concludes the very same formula objects
-keeps its validated conclusion; every other node is built by its checking
-constructor, and keeps the old formula objects when its conclusion comes
-out equal, so its own parent is copied in turn (`proofs.with_child`).
+A rebuilt node whose new premise concludes the same formulas keeps its
+conclusion; any other is built by its checking constructor (`proofs.with_child`).
+Formulas are interned in a table that holds them weakly: equal is identical,
+and the cyclic collector frees a formula together with its dual.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import MachineError, ProofError, StaleRedexError
-from .formulas import dual, leading_run, modal_chain, print_formula, size
+from .formulas import leading_run, modal_chain, print_formula
 from .matrices import identity_gate, matmul, tensor
 from .proofs import (AxiomRule, CutRule, ParRule, Path, Proof, QRule, TensorRule, children,
                      conclusion_position, path_str, premise_source, proofs_equal, rule_count,
@@ -218,7 +218,7 @@ def _summarize(node: Proof, subs: list[Summary]) -> Summary:
                        l.counts + r.counts, None)
     # a cut weighs its formula's size, scaled by the multiplicative rules above it
     m = l.mult + r.mult
-    w = l.weight + r.weight + 3 ** size(node.cut_formula) * (1 + m)
+    w = l.weight + r.weight + 3 ** node.cut_formula.size * (1 + m)
     own = _own_over(node, 0, node.left)
     return Summary(l.rules + r.rules + 1, w, m, l.counts + r.counts + _one(own), own)
 
@@ -290,7 +290,7 @@ def _fire(node: Proof, redex: Redex) -> tuple[Proof, Perm]:
         core = leading_run(node.formula)[2]
         if run_kind == "box":
             return QRule(n, identity_gate(n), AxiomRule(core)), _identity(2)
-        return QRule(n, identity_gate(n), AxiomRule(dual(core))), (2, 1)
+        return QRule(n, identity_gate(n), AxiomRule(core.dual)), (2, 1)
 
     if kind == "QContract":
         inner = node.sub
@@ -445,7 +445,7 @@ class _Frame:
         self.node, self.k, self.own = node, k, node.summary.own
         self.rsib = kids[1].summary.counts if k == 0 and len(kids) == 2 else 0
         lsib = kids[0].summary.counts if k else 0
-        scale = 3 ** size(node.cut_formula) if type(node) is CutRule else 0
+        scale = 3 ** node.cut_formula.size if type(node) is CutRule else 0
         if above is None:
             self.left, self.right, self.scale = lsib, 0, scale
         else:
@@ -609,7 +609,7 @@ def canonical_form(p: Proof) -> Proof:
 def _canonical(node: Proof, subs: list[tuple[Proof, Perm]]) -> tuple[Proof, Perm]:
     """A node's canonical form and how its conclusion moved, given its children's."""
     if type(node) is AxiomRule:
-        other = dual(node.formula)
+        other = node.formula.dual
         if print_formula(other) < print_formula(node.formula):
             return AxiomRule(other), (2, 1)
         return node, (1, 2)

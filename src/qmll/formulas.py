@@ -9,83 +9,85 @@ Concrete grammar (whitespace insignificant):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 from . import tokens as tk
 from .errors import FormulaSyntaxError, QmllError, SyntaxLocationError
-from .trees import memo_fold
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
-    positive: bool = True
-    size_memo: int = field(init=False, repr=False, compare=False)  # see `size`
+class Formula:
+    """A formula, interned: building one that exists returns the existing object.
+
+    So `==` and `hash` are identity. `_table` holds formulas weakly, keying a
+    connective by its children's identities and an atom by name and polarity.
+    A formula is built with its De Morgan dual, each the other's `dual`, so
+    the cyclic collector frees the pair. `size` counts atoms and connectives.
+    """
+
+    __slots__ = ("size", "dual", "__weakref__")
+    _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {print_formula(self)}>"
 
 
-@dataclass(frozen=True)
-class Par:
-    left: "Formula"
-    right: "Formula"
-    size_memo: int = field(init=False, repr=False, compare=False)  # see `size`
+def _interned(key: tuple, args: tuple, dual_cls: type, dual_args: tuple, size: int):
+    """The formula `key` names, built with its dual unless it exists."""
+    f = Formula._table.get(key)
+    if f is None:
+        dual_key = (dual_cls, *(dual_args if dual_cls is Atom else map(id, dual_args)))
+        f, d = object.__new__(key[0]), object.__new__(dual_cls)
+        Formula._table[key], Formula._table[dual_key] = f, d
+        for g, vals, other in ((f, args, d), (d, dual_args, f)):
+            for name, v in zip(g.__match_args__ + ("size", "dual"), vals + (size, other)):
+                object.__setattr__(g, name, v)
+    return f
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: "Formula"
-    right: "Formula"
-    size_memo: int = field(init=False, repr=False, compare=False)  # see `size`
+class Atom(Formula):
+    __slots__ = __match_args__ = ("name", "positive")
+
+    def __new__(cls, name: str, positive: bool = True):
+        return _interned((Atom, name, positive), (name, positive), Atom, (name, not positive), 1)
 
 
-@dataclass(frozen=True)
-class Box:
-    body: "Formula"
-    size_memo: int = field(init=False, repr=False, compare=False)  # see `size`
+class Par(Formula):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        return _interned((Par, id(left), id(right)), (left, right),
+                         Tensor, (left.dual, right.dual), 1 + left.size + right.size)
 
 
-@dataclass(frozen=True)
-class Diamond:
-    body: "Formula"
-    size_memo: int = field(init=False, repr=False, compare=False)  # see `size`
+class Tensor(Formula):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        return _interned((Tensor, id(left), id(right)), (left, right),
+                         Par, (left.dual, right.dual), 1 + left.size + right.size)
 
 
-Formula = Atom | Par | Tensor | Box | Diamond
+class Box(Formula):
+    __slots__ = __match_args__ = ("body",)
+
+    def __new__(cls, body: Formula):
+        return _interned((Box, id(body)), (body,), Diamond, (body.dual,), 1 + body.size)
+
+
+class Diamond(Formula):
+    __slots__ = __match_args__ = ("body",)
+
+    def __new__(cls, body: Formula):
+        return _interned((Diamond, id(body)), (body,), Box, (body.dual,), 1 + body.size)
 
 
 def dual(f: Formula) -> Formula:
     """De Morgan dual; an involution. Box and diamond are dual to each other."""
-    match f:
-        case Atom(name, pos):
-            return Atom(name, not pos)
-        case Par(l, r):
-            return Tensor(dual(l), dual(r))
-        case Tensor(l, r):
-            return Par(dual(l), dual(r))
-        case Box(b):
-            return Diamond(dual(b))
-        case Diamond(b):
-            return Box(dual(b))
-    raise QmllError(f"not a formula: {f!r}")
-
-
-def subformulas(f: Formula) -> tuple[Formula, ...]:
-    t = type(f)
-    if t is Atom:
-        return ()
-    if t is Par or t is Tensor:
-        return (f.left, f.right)
-    if t is Box or t is Diamond:
-        return (f.body,)
-    raise QmllError(f"not a formula: {f!r}")
-
-
-def size(f: Formula) -> int:
-    """Atoms and connectives in f, memoized on every subformula.
-
-    Cut formulas are shared between a proof and its reducts, so the weight
-    of a rebuilt cut reads its formula's size instead of walking it.
-    """
-    return memo_fold(f, "size_memo", subformulas, lambda _, sizes: 1 + sum(sizes))
+    return f.dual
 
 
 def is_modal(f: Formula) -> bool:
@@ -104,19 +106,12 @@ def modal_chain(f: Formula) -> int:
 
 def leading_run(f: Formula) -> tuple[str, int, Formula]:
     """Maximal same-connective modal prefix: ('box'|'dia'|'', count, core)."""
-    if isinstance(f, Box):
-        n, core = 0, f
-        while isinstance(core, Box):
-            n += 1
-            core = core.body
-        return "box", n, core
-    if isinstance(f, Diamond):
-        n, core = 0, f
-        while isinstance(core, Diamond):
-            n += 1
-            core = core.body
-        return "dia", n, core
-    return "", 0, f
+    t, n = type(f), 0
+    if t is not Box and t is not Diamond:
+        return "", 0, f
+    while type(f) is t:
+        n, f = n + 1, f.body
+    return "box" if t is Box else "dia", n, f
 
 
 def wrap_modal(kind: str, n: int, f: Formula) -> Formula:
@@ -132,10 +127,13 @@ def atoms(f: Formula) -> list[Atom]:
     stack = [f]
     while stack:
         g = stack.pop()
-        if type(g) is Atom:
+        t = type(g)
+        if t is Atom:
             out.append(g)
+        elif t is Par or t is Tensor:
+            stack += (g.right, g.left)
         else:
-            stack.extend(reversed(subformulas(g)))
+            stack.append(g.body)
     return out
 
 
@@ -165,26 +163,43 @@ def print_formula(f: Formula) -> str:
     return "".join(out)
 
 
+_OPENS = {tk.BOX: Box, tk.DIAMOND: Diamond, tk.LP: None}
+
+
 def parse_formula_stream(ts: tk.TokenStream) -> Formula:
-    t = ts.next()
-    if t.kind == tk.IDENT:
-        return Atom(t.text, True)
-    if t.kind == tk.TILDE:
-        name = ts.expect(tk.IDENT, FormulaSyntaxError)
-        return Atom(name.text, False)
-    if t.kind == tk.BOX:
-        return Box(parse_formula_stream(ts))
-    if t.kind == tk.DIAMOND:
-        return Diamond(parse_formula_stream(ts))
-    if t.kind == tk.LP:
-        left = parse_formula_stream(ts)
-        op = ts.next()
-        if op.kind not in (tk.PERCENT, tk.STAR):
-            raise FormulaSyntaxError(f"expected '%' or '*', found {op.text!r}", op.pos)
-        right = parse_formula_stream(ts)
-        ts.expect(tk.RP, FormulaSyntaxError)
-        return Par(left, right) if op.kind == tk.PERCENT else Tensor(left, right)
-    raise FormulaSyntaxError(f"unexpected {t.text or 'end of input'!r} in formula", t.pos)
+    """Read one formula on an explicit stack of the connectives open above it.
+
+    The stack holds `Box` or `Diamond` for a modality awaiting its body, None
+    for a `(` awaiting its left side, and (Par or Tensor, left) for one
+    awaiting its right side and `)`.
+    """
+    stack: list = []
+    while True:
+        t = ts.next()
+        if t.kind in _OPENS:
+            stack.append(_OPENS[t.kind])
+            continue
+        if t.kind == tk.IDENT:
+            f = Atom(t.text, True)
+        elif t.kind == tk.TILDE:
+            f = Atom(ts.expect(tk.IDENT, FormulaSyntaxError).text, False)
+        else:
+            raise FormulaSyntaxError(f"unexpected {t.text or 'end of input'!r} in formula", t.pos)
+        while stack:  # f is complete: close every connective it completes
+            top = stack.pop()
+            if top is None:
+                op = ts.next()
+                if op.kind not in (tk.PERCENT, tk.STAR):
+                    raise FormulaSyntaxError(f"expected '%' or '*', found {op.text!r}", op.pos)
+                stack.append((Par if op.kind == tk.PERCENT else Tensor, f))
+                break
+            if type(top) is tuple:
+                ts.expect(tk.RP, FormulaSyntaxError)
+                f = top[0](top[1], f)
+            else:
+                f = top(f)
+        else:
+            return f
 
 
 def parse_formula(text: str) -> Formula:
@@ -246,13 +261,13 @@ def subst(c: Context, filler: Formula) -> Formula:
     return f
 
 
+_DUAL_STEP = {PAR_L: TENS_L, PAR_R: TENS_R, TENS_L: PAR_L, TENS_R: PAR_R,
+              BOX_S: DIA_S, DIA_S: BOX_S}
+
+
 def dual_context(c: Context) -> Context:
-    out = []
-    for kind, other in c.steps:
-        od = dual(other) if other is not None else None
-        out.append({PAR_L: (TENS_L, od), PAR_R: (TENS_R, od), TENS_L: (PAR_L, od),
-                    TENS_R: (PAR_R, od), BOX_S: (DIA_S, None), DIA_S: (BOX_S, None)}[kind])
-    return Context(tuple(out))
+    return Context(tuple((_DUAL_STEP[kind], None if other is None else other.dual)
+                         for kind, other in c.steps))
 
 
 def hole_atom(c: Context, f: Formula) -> Atom:

@@ -68,9 +68,11 @@ class UnitaryMatrix:
         if _composed:  # U^†y = conj(conj(y) U) reads U in place
             x = _probe(m.shape[0])
             err = np.linalg.norm(np.conj(np.conj(m @ x) @ m) - x)
+        elif not np.isfinite(m).all():
+            raise DimensionError("matrix has a NaN or infinite entry")
         else:
             err = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
-        if err > UNITARY_EPS:
+        if not err <= UNITARY_EPS:  # a NaN deviation fails too
             raise DimensionError(f"matrix is not unitary (deviation {err:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "data", m)
@@ -185,7 +187,7 @@ def identity_gate(n: int) -> UnitaryMatrix:
 
 
 def gate_by_name(name: str) -> UnitaryMatrix:
-    if name.startswith("I") and name[1:].isdigit():
+    if name.startswith("I") and name[1:].isdigit() and int(name[1:]) > 0:
         return identity_gate(int(name[1:]))
     if name in _GATES:
         return _GATES[name]

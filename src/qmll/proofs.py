@@ -29,7 +29,6 @@ checking constructor as the rule's `)` closes, so a proof of any depth that
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -37,8 +36,8 @@ import numpy as np
 
 from . import tokens as tk
 from .errors import CheckFailure, PreconditionError, ProofError, ProofSyntaxError, QmllError
-from .formulas import (Atom, Formula, Par, Tensor, dual, is_modal, parse_formula_stream,
-                       print_formula, wrap_modal)
+from .formulas import (Atom, Formula, Par, Tensor, is_modal, parse_formula_stream, print_formula,
+                       wrap_modal)
 from .matrices import UnitaryMatrix, check_qubits, gate_by_name, render_rows
 from .trees import fold, post_order
 
@@ -71,7 +70,7 @@ class AxiomRule:
     summary: object = field(init=False, repr=False, compare=False)  # see cutelim.summary
 
     def __post_init__(self):
-        object.__setattr__(self, "conclusion", (dual(self.formula), self.formula))
+        object.__setattr__(self, "conclusion", (self.formula.dual, self.formula))
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +167,7 @@ def _cut_violations(i: int, j: int, lc: Sequent, rc: Sequent) -> list[str]:
         out.append(f"cut position {i} out of range for left premise of length {len(lc)}")
     if not 1 <= j <= len(rc):
         out.append(f"cut position {j} out of range for right premise of length {len(rc)}")
-    if not out and dual(lc[i - 1]) != rc[j - 1]:
+    if not out and lc[i - 1].dual is not rc[j - 1]:
         out.append(f"cut formulas are not dual: {print_formula(lc[i - 1])}"
                    f" vs {print_formula(rc[j - 1])}")
     if not out and len(lc) + len(rc) == 2:
@@ -234,28 +233,23 @@ def with_child(node: Proof, k: int, child: Proof) -> Proof:
     """`node` with its child k replaced and its position arguments kept.
 
     A rule's side conditions and conclusion read only its arguments and its
-    premises' conclusions. When `child` concludes the very same formula
-    objects as the child it replaces, the copy therefore keeps `node`'s
-    validated conclusion. Otherwise the constructor checks and derives it;
-    a derived conclusion equal to `node`'s is swapped for `node`'s own
-    formula objects, so that the rebuilt node's parent can be copied.
+    premises' conclusions. When `child` concludes the same formulas as the
+    child it replaces, the copy therefore keeps `node`'s validated
+    conclusion. Otherwise the constructor checks and derives it.
     """
     if type(node) not in _CHILD_FIELDS:
         raise ProofError(f"node has no children: {node!r}")
     name = _CHILD_FIELDS[type(node)][k]
     old = getattr(node, name).conclusion
     new = child.conclusion
-    if len(new) == len(old) and all(map(operator.is_, new, old)):
+    if new == old:  # formulas are interned: equal is identical
         copy = object.__new__(type(node))
         state = copy.__dict__
         state.update(node.__dict__)
         state.pop("summary", None)  # it describes the old subtree
         state[name] = child
         return copy
-    rebuilt = replace(node, **{name: child})
-    if rebuilt.conclusion == node.conclusion:
-        object.__setattr__(rebuilt, "conclusion", node.conclusion)
-    return rebuilt
+    return replace(node, **{name: child})
 
 
 def node_at(p: Proof, path: Path) -> Proof:
@@ -302,7 +296,7 @@ def _same_rule(p: Proof, q: Proof, gate_tol: float) -> bool:
     """Whether two nodes of one type carry the same arguments, their premises aside."""
     t = type(p)
     if t is AxiomRule:
-        return p.formula == q.formula
+        return p.formula is q.formula
     if t is QRule:
         g, h = p.gate.data, q.gate.data
         if p.arity != q.arity or p.flip != q.flip or g.shape != h.shape:
@@ -404,7 +398,7 @@ def check(p: Proof) -> CheckReport:
         msgs: list[str] = []
         match node:
             case AxiomRule():
-                if node.conclusion != (dual(node.formula), node.formula):
+                if node.conclusion != (node.formula.dual, node.formula):
                     msgs.append("axiom conclusion is not (dual, formula)")
             case CutRule(i, j, l, r):
                 msgs = _cut_violations(i, j, l.conclusion, r.conclusion)

@@ -246,7 +246,7 @@ def initial_state(graph: OccurrenceGraph, entry_pos: int, ctx: Context,
         if register.n_qubits != n:
             raise PreconditionError(
                 f"register has {register.n_qubits} qubits, the context needs {n}")
-        if abs(register.norm() - 1.0) > 1e-9:
+        if not abs(register.norm() - 1.0) <= 1e-9:  # a NaN norm fails too
             raise PreconditionError("register is not normalized")
     return MachineState((), entry_pos, ctx, False, (), register)
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qmll.cli import main
 
@@ -261,3 +262,133 @@ def test_machine_commands_refuse_a_3000_deep_chain_over_the_cap(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: 3000 qubits exceeds the configured cap of 16\n"
+
+
+def test_an_axiom_1500_modalities_deep_checks_and_normalize_refuses_it(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("QMLL_MAX_QUBITS", raising=False)
+    f = write(tmp_path, "boxes.proof", "(ax " + "[] " * 1500 + "a)")
+    assert main(["check", f]) == 0
+    assert capsys.readouterr().out == "ok: |- " + "<> " * 1500 + "~a, " + "[] " * 1500 + "a\n"
+    assert main(["normalize", f]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 1500 qubits exceeds the configured cap of 16\n"
+
+
+NAN_PROOF = "(q 1 (mat [[1e400,0],[0,0]] [[0,0],[1,0]]) (ax a))"  # 1e400 reads as inf
+
+
+@pytest.mark.parametrize("command", ["check", "semantics"])
+def test_a_matrix_literal_with_an_infinite_entry_is_refused(tmp_path, capsys, command):
+    f = write(tmp_path, "nan.proof", NAN_PROOF)
+    assert main([command, f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("syntax error: bad matrix literal: matrix has a NaN or infinite "
+                            "entry (at offset 5)\n")
+
+
+@pytest.mark.parametrize("text", [
+    '{"qubits": 1, "gates": [{"matrix": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]], "targets": [1]}]}',
+    '{"qubits": 1, "gates": [{"matrix": [[{"a": 1}, [0, 0]], [[0, 0], [1, 0]]], "targets": [1]}]}',
+    '{"qubits": 1, "gates": [{"matrix": [[[1, 0, 5], [0, 0]], [[0, 0], [1, 0]]], "targets": [1]}]}',
+    '{"qubits": 1, "gates": [{"matrix": [[[true, 0], [0, 0]], [[0, 0], [1, 0]]], "targets": [1]}]}',
+    '{"qubits": 1, "gates": [{"matrix": [[[1], [0, 0]], [[0, 0], [1, 0]]], "targets": [1]}]}',
+    '{"qubits": 1, "gates": [{"gate": "I0", "targets": []}]}',
+    "[" * 100000 + "]" * 100000,
+])
+def test_circuit_json_entries_and_gate_names_are_read_exactly(tmp_path, capsys, text):
+    f = write(tmp_path, "c.json", text)
+    assert main(["encode", f]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_run_input_too_deep_or_too_large_exits_2(tmp_path, capsys):
+    f = write(tmp_path, "p.proof", "(q 1 H (ax a))")
+    for register in ["[" * 100000 + "]" * 100000, "[[1" + "0" * 400 + ", 0], [0, 0]]"]:
+        assert main(["run", f, "--input", register]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --input must be ") and err.count("\n") == 1
+
+
+def test_run_refuses_a_nan_register(tmp_path, capsys):
+    f = write(tmp_path, "p.proof", "(q 1 H (ax a))")
+    assert main(["run", f, "--input", "[[NaN, 0], [0, 0]]"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: register is not normalized\n"
+
+
+def exit_code(argv):
+    """`main(argv)`'s exit code, argparse's usage errors included; any other exception escapes."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda sub: st.lists(sub, max_size=4) | st.dictionaries(st.text(max_size=5), sub, max_size=4),
+    max_leaves=12)
+# each case below sets QMLL_MAX_QUBITS=3, so that no input can make a gate bigger than 8x8
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(ops=st.lists(st.sampled_from(["[] ", "<> "]), min_size=1, max_size=30),
+       n=st.integers(1, 2000), command=st.sampled_from(["check", "semantics", "normalize"]))
+def test_deep_modal_axioms_get_an_answer_or_one_error_line(
+        tmp_path, capsys, monkeypatch, ops, n, command):
+    """An axiom on the first n modalities of `ops` repeated: up to 2000 deep."""
+    monkeypatch.setenv("QMLL_MAX_QUBITS", "3")
+    f = write(tmp_path, "p.proof", "(ax " + "".join((ops * n)[:n]) + "a)")
+    code = exit_code([command, f])
+    err = capsys.readouterr().err
+    assert code in (0, 1) and "Traceback" not in err
+    assert code == 0 or err.startswith("error: ")
+    if command == "check":
+        assert code == 0
+
+
+@FUZZ
+@given(register=st.text(max_size=20) | JSON.map(json.dumps))
+def test_any_run_input_gets_an_answer_or_one_error_line(tmp_path, capsys, monkeypatch, register):
+    monkeypatch.setenv("QMLL_MAX_QUBITS", "3")
+    f = write(tmp_path, "p.proof", "(q 1 H (ax a))")
+    assert exit_code(["run", f, f"--input={register}"]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@FUZZ
+@given(path=st.text(alphabet="012LRX.-x ", max_size=12) | st.text(max_size=12),
+       command=st.sampled_from(["run", "semantics", "extract"]))
+def test_any_context_path_gets_an_answer_or_one_error_line(
+        tmp_path, capsys, monkeypatch, path, command):
+    monkeypatch.setenv("QMLL_MAX_QUBITS", "3")
+    f = write(tmp_path, "p.proof", "(par 1 2 (tensor 1 1 (q 1 H (ax a)) (ax [] b)))")
+    assert exit_code([command, f, f"--context={path}"]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+GATE = st.fixed_dictionaries({}, optional={
+    "gate": st.sampled_from(["H", "CNOT", "I0", "I1", "I2", "Q"]) | JSON,
+    "targets": st.lists(st.integers(-1, 4), max_size=3) | JSON,
+    "matrix": st.lists(st.lists(st.lists(st.integers(-1, 1) | JSON, max_size=3), max_size=3),
+                       max_size=3) | JSON})
+
+
+@FUZZ
+@given(circuit=st.fixed_dictionaries({}, optional={
+    "qubits": st.integers(-1, 4) | JSON, "gates": st.lists(GATE, max_size=3) | JSON}) | JSON)
+def test_any_circuit_json_gets_an_answer_or_one_error_line(tmp_path, capsys, monkeypatch,
+                                                            circuit):
+    monkeypatch.setenv("QMLL_MAX_QUBITS", "3")
+    f = write(tmp_path, "c.json", json.dumps(circuit))
+    code = exit_code(["encode", f])
+    err = capsys.readouterr().err
+    assert code in (0, 1) and "Traceback" not in err
+    assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1)

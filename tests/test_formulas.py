@@ -153,3 +153,96 @@ def test_leaves_of_a_deep_formula_without_recursion():
         assert hole_atom(entries[i][0], f) is leaves[i]
     assert depth(entries[750][0]) == 1500
 
+
+
+def chain(n, body=None):
+    """`[]` n times over `body` (the atom a by default), built one constructor call at a time."""
+    f = Atom("a") if body is None else body
+    for _ in range(n):
+        f = Box(f)
+    return f
+
+
+def test_each_formula_is_one_object():
+    assert parse_formula("(a % b)") is Par(Atom("a"), Atom("b"))
+    # an atom read from text is keyed by its name's value, not by the string object
+    assert parse_formula("[] (~a * <> b)") is Box(Tensor(Atom("a", False), Diamond(Atom("b"))))
+    assert Atom("".join(["a", "b"])) is Atom("ab")
+    assert Atom("a") is not Atom("a", False) and Par(Atom("a"), Atom("a")) is not Tensor(
+        Atom("a"), Atom("a"))
+    f = parse_formula("(a * [] b)")
+    assert f.dual is dual(f) is parse_formula("(~a % <> ~b)")
+    assert f.dual.dual is f and Atom("a").dual is Atom("a", False)
+    assert (f.size, f.dual.size, Atom("a").size) == (4, 4, 1)
+    assert hash(f) == hash(parse_formula("(a * [] b)")) and f == Tensor(Atom("a"), Box(Atom("b")))
+    assert {f: 1}[Tensor(Atom("a"), Box(Atom("b")))] == 1
+
+
+def test_formulas_are_immutable_and_still_match_by_position():
+    f = parse_formula("([] a % ~b)")
+    with pytest.raises(AttributeError):
+        f.left = Atom("c")
+    with pytest.raises(AttributeError):
+        f.size = 0
+    match f:
+        case Par(Box(Atom(name, positive)), Atom(other, False)):
+            assert (name, positive, other) == ("a", True, "b")
+        case _:
+            pytest.fail("positional match failed")
+    assert repr(f) == "<Par ([] a % ~b)>"
+
+
+def test_hash_eq_dual_and_cut_on_two_5000_deep_chains():
+    """Two chains built apart are one object; nothing here walks them recursively."""
+    from qmll.proofs import AxiomRule, CutRule, check
+    a, b = chain(5000), chain(5000)
+    assert a is b and a == b and hash(a) == hash(b)
+    assert dual(a) is b.dual and dual(dual(a)) is a and a.size == b.dual.size == 5001
+    cut = CutRule(2, 1, AxiomRule(a), AxiomRule(b))
+    assert cut.conclusion == (a.dual, b) and check(cut).ok
+    assert parse_formula("[] " * 5000 + "a") is a
+    assert print_formula(dual(a)) == "<> " * 5000 + "~a"
+
+
+def test_the_weak_table_drops_unreferenced_formulas():
+    import gc
+    import weakref
+    from qmll.formulas import Formula
+    gc.collect()
+    before = len(Formula._table)
+    f = chain(50, Atom("only_in_this_test"))
+    refs = [weakref.ref(f), weakref.ref(f.dual), weakref.ref(f.body.body)]
+    assert len(Formula._table) == before + 2 * 51
+    del f
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+    assert len(Formula._table) == before
+
+
+def test_formula_errors_keep_their_messages_and_offsets():
+    cases = {
+        "(a %": "unexpected 'end of input' in formula (at offset 4)",
+        "(": "unexpected 'end of input' in formula (at offset 1)",
+        "((a % b) c)": "expected '%' or '*', found 'c' (at offset 9)",
+        "[] [] (a * ~)": "expected 'ident', found ')' (at offset 12)",
+        "<> (a % b": "expected ')', found 'end of input' (at offset 9)",
+        "(a * b % c)": "expected ')', found '%' (at offset 7)",
+        ")": "unexpected ')' in formula (at offset 0)",
+        "((a % b) % (c % d)) e": "trailing input 'e' (at offset 20)",
+    }
+    for text, message in cases.items():
+        with pytest.raises(FormulaSyntaxError) as e:
+            parse_formula(text)
+        assert str(e.value) == message
+
+
+@given(st.lists(st.sampled_from(["[] ", "<> "]), min_size=1, max_size=40),
+       st.integers(1, 80), st.booleans())
+def test_deep_modal_formulas_read_back_as_the_formula_built(prefix, repeat, positive):
+    ops = prefix * repeat
+    f = Atom("a", positive)
+    for op in reversed(ops):
+        f = Box(f) if op == "[] " else Diamond(f)
+    text = "".join(ops) + ("a" if positive else "~a")
+    assert parse_formula(text) is f and print_formula(f) == text
+    assert f.size == len(ops) + 1 and modal_chain(f) == len(ops)

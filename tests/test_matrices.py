@@ -253,3 +253,13 @@ def test_registers_over_the_cap_are_refused_before_allocation(monkeypatch):
     assert sizes == []
     assert zero_state(3).n_qubits == basis_state("101").n_qubits == 3
     assert sizes == [8, 8]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_certification_refuses_nan_and_inf_in_full_and_by_probe(bad):
+    m = np.eye(2, dtype=complex)
+    m[0, 0] = bad
+    with pytest.raises(DimensionError, match="NaN or infinite"):
+        UnitaryMatrix(m)
+    with np.errstate(invalid="ignore"), pytest.raises(DimensionError, match="not unitary"):
+        UnitaryMatrix.composed(m)  # the probe's deviation is NaN, which used to pass

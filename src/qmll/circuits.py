@@ -210,7 +210,7 @@ def circuit_from_json(text: str) -> Circuit:
             if isinstance(g.get("gate"), str):
                 u = gate_by_name(g["gate"])
             elif "matrix" in g:
-                rows = [[_json_complex(e) for e in row] for row in g["matrix"]]
+                rows = [[json_complex(e) for e in row] for row in g["matrix"]]
                 u = UnitaryMatrix(np.array(rows, dtype=complex))
             else:
                 raise QmllError("gate entries need either a 'gate' name or a 'matrix'")
@@ -226,7 +226,8 @@ def _json_int(v: object) -> int:
     return v
 
 
-def _json_complex(v: object) -> complex:
+def json_complex(v: object) -> complex:
+    """A JSON entry [re,im] of two numbers, not bools, as a complex; else a TypeError."""
     if type(v) is not list or len(v) != 2 or any(type(x) not in (int, float) for x in v):
         raise TypeError(f"expected an entry [re,im] of two JSON numbers, found {json.dumps(v)}")
     return complex(*v)

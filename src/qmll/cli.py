@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .circuits import circuit_from_json, circuit_to_json, encode, extract
+from .circuits import circuit_from_json, circuit_to_json, encode, extract, json_complex
 from .cutelim import normalize, trace_lines
 from .errors import CheckFailure, QmllError, SyntaxLocationError
 from .formulas import context_along, depth
@@ -70,7 +70,7 @@ def _parse_state(arg: str | None, n: int) -> StateVector:
         label = arg.strip("|>")
         return basis_state(label)
     try:  # JSONDecodeError is a ValueError; too deep a nesting, a RecursionError
-        amps = [complex(re, im) for re, im in json.loads(arg)]
+        amps = [json_complex(v) for v in json.loads(arg)]
     except (TypeError, ValueError, OverflowError, RecursionError) as e:
         raise InputError(f"--input must be a JSON list of [re,im] pairs: {e}") from e
     return StateVector(n, np.array(amps, dtype=complex))
@@ -207,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     except (QmllError, MemoryError) as e:  # numpy's MemoryError names the allocation
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
-    except (OSError, InputError) as e:
+    except (OSError, UnicodeDecodeError, InputError) as e:  # unreadable input
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ offered one instance at a time.
 
 Each node carries a `Summary` (rule count, weight, how many redexes of each
 family its subtree holds, its own redex), computed the first time it is
-asked for and stored on the frozen node, so summarizing a new proof visits
+asked for and stored on the immutable node, so summarizing a new proof visits
 only the nodes built since. `weight`, `rule_count` and the default step
 bound read the root's summary, and `find_redexes` and `first_redex` enter
 only the subtrees that hold the offered family. Summaries stay lazy
@@ -80,9 +80,8 @@ def _identity(n: int) -> Perm:
 
 def _args_into(node: Proof, k: int, remap) -> tuple[int, int]:
     """A cut's, par's or tensor's (i, j), each argument into child k passed through `remap`."""
-    par = type(node) is ParRule
-    i = remap(node.i) if par or k == 0 else node.i
-    j = remap(node.j) if par or k == 1 else node.j
+    i = remap(node.i) if k == 0 else node.i
+    j = remap(node.j) if k == node.j_premise else node.j
     return i, j
 
 

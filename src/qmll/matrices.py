@@ -71,7 +71,8 @@ class UnitaryMatrix:
         elif not np.isfinite(m).all():
             raise DimensionError("matrix has a NaN or infinite entry")
         else:
-            err = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
+            with np.errstate(all="ignore"):  # a product that overflows is refused below
+                err = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
         if not err <= UNITARY_EPS:  # a NaN deviation fails too
             raise DimensionError(f"matrix is not unitary (deviation {err:.3e})")
         m.setflags(write=False)

@@ -12,7 +12,9 @@ positions instead of an exchange rule. The six rules:
 A quantum rule requires its two premise formulas to be both modal or both
 non-modal. Its conclusion always lists the diamond formula first; the
 `flip` flag says which premise position the diamonds landed on (normally
-the first). Flipped instances only arise from cut elimination.
+the first). Flipped instances only arise from cut elimination. Each rule is
+an immutable `Rule` class whose constructor tests the rule's side conditions
+and builds its conclusion; `check` runs the same tests again.
 
 File format:
 
@@ -29,7 +31,7 @@ checking constructor as the rule's `)` closes, so a proof of any depth that
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -54,99 +56,300 @@ def path_str(p: Path) -> str:
     return ".".join(str(i) for i in p) if p else "root"
 
 
-def _minus(seq: Sequent, *positions: int) -> Sequent:
-    drop = set(positions)
-    return tuple(f for k, f in enumerate(seq, start=1) if k not in drop)
+# ---------------------------------------------------------------------------
+# parsing / printing
+
+
+def _parse_gate(ts: tk.TokenStream) -> UnitaryMatrix:
+    t = ts.peek()
+    if t.kind == tk.IDENT:
+        ts.next()
+        try:
+            return gate_by_name(t.text)
+        except PreconditionError:  # a well-formed name over the qubit cap
+            raise
+        except QmllError as e:
+            raise ProofSyntaxError(str(e), t.pos) from e
+    if t.kind == tk.LP:
+        ts.next()
+        kw = ts.expect(tk.IDENT, ProofSyntaxError)
+        if kw.text != "mat":
+            raise ProofSyntaxError(f"expected 'mat', found {kw.text!r}", kw.pos)
+        rows = []
+        while ts.peek().kind == tk.ROW:
+            rows.append(ts.next().text)
+        ts.expect(tk.RP, ProofSyntaxError)
+        if not rows:
+            raise ProofSyntaxError("empty matrix literal", t.pos)
+        check_qubits((len(rows) - 1).bit_length())
+        data = _literal_data(rows, t.pos)
+        try:
+            return UnitaryMatrix(data)
+        except QmllError as e:
+            raise ProofSyntaxError(f"bad matrix literal: {e}", t.pos) from e
+    raise ProofSyntaxError(f"expected a gate, found {t.text!r}", t.pos)
+
+
+_ROW_PUNCT = str.maketrans("[],", "   ")
+
+
+def _literal_data(rows: list[str], pos: int) -> np.ndarray:
+    """The matrix spelled by ROW token texts; entries are bit for bit `complex(re, im)`.
+
+    The tokenizer has checked each row's shape, so its numbers are the words
+    left when brackets and commas are read as spaces.
+    """
+    nums = [row.translate(_ROW_PUNCT).split() for row in rows]
+    width = len(nums[0])
+    for k, row in enumerate(nums[1:], start=2):
+        if len(row) != width:
+            raise ProofSyntaxError(f"ragged matrix literal: row {k} has {len(row) // 2} "
+                                   f"entries, row 1 has {width // 2}", pos)
+    flat = np.array([float(x) for row in nums for x in row])
+    return flat.view(complex).reshape(len(rows), width // 2)
+
+
+def _parse_position(ts: tk.TokenStream) -> int:
+    t = ts.expect(tk.NUMBER, ProofSyntaxError)
+    try:
+        return int(t.text)
+    except ValueError:
+        raise ProofSyntaxError(f"expected an integer position, found {t.text!r}", t.pos)
+
+
+def print_gate(g: UnitaryMatrix) -> str:
+    if g.name is not None:
+        return g.name
+    return "(mat " + " ".join(render_rows(g.data)) + ")"
+
+
+def _open_rule(ts: tk.TokenStream) -> tuple:
+    """Read a rule's `(`, keyword and head: (constructor, head, premises read, premise count)."""
+    ts.expect(tk.LP, ProofSyntaxError)
+    kw = ts.expect(tk.IDENT, ProofSyntaxError)
+    if kw.text not in _KEYWORDS:
+        raise ProofSyntaxError(f"unknown rule {kw.text!r}", kw.pos)
+    rule, flip = _KEYWORDS[kw.text]
+    ctor = partial(rule, flip=True) if flip else rule
+    return (ctor, [read(ts) for read in rule.readers], [], len(rule.premises))
+
+
+def parse_proof(text: str) -> Proof:
+    """Parse and check a proof; raises on syntax errors or rule violations.
+
+    One left-to-right pass over the tokens, on an explicit stack of open
+    rules: a rule's head is read when its `(` opens, and its checking
+    constructor builds it when its `)` closes. A rule that fails its check is
+    recorded with its path, and no rule above it is built; the violations
+    come out in post-order, after the whole text has parsed.
+    """
+    ts = tk.TokenStream(tk.tokenize(text))
+    violations: list[tuple[str, str]] = []
+    stack: list[tuple] = []  # the open ancestors of the rule being read
+    while True:
+        rule = _open_rule(ts)
+        while len(rule[2]) == rule[3]:
+            ts.expect(tk.RP, ProofSyntaxError)
+            ctor, head, premises, _ = rule
+            node = None
+            if None not in premises:
+                try:
+                    node = ctor(*head, *premises)
+                except ProofError as e:
+                    # each ancestor's premises read so far index the child below it
+                    path = tuple(len(r[2]) for r in stack)
+                    violations.append((path_str(path), str(e)))
+            if not stack:
+                end = ts.peek()
+                if end.kind != tk.EOF:
+                    raise ProofSyntaxError(f"trailing input {end.text!r}", end.pos)
+                if violations:
+                    raise CheckFailure(CheckReport(False, tuple(violations)))
+                return node
+            rule = stack.pop()
+            rule[2].append(node)
+        stack.append(rule)
+
+
+def print_proof(p: Proof) -> str:
+    """The file syntax of p, written out in pre-order from an explicit stack."""
+    out: list[str] = []
+    stack: list[Proof | str] = [p]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        stack.append(")")
+        for c in reversed(children(item)):
+            stack.append(c)
+            stack.append(" ")
+        out.append(item._head())
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
 # rule nodes
 
 
-@dataclass(frozen=True, eq=False)
-class AxiomRule:
-    formula: Formula
-    conclusion: Sequent = field(init=False)
-    summary: object = field(init=False, repr=False, compare=False)  # see cutelim.summary
+class Rule:
+    """A rule instance, immutable once its constructor has checked it.
 
-    def __post_init__(self):
-        object.__setattr__(self, "conclusion", (self.formula.dual, self.formula))
+    A subclass declares its rule once: its arguments (`__match_args__`, the
+    constructor's, file arguments first), which are premises, the readers of
+    the file arguments, its file keywords (a flipped quantum rule's is the
+    second), the premise that argument `j` indexes, its side conditions, which
+    the constructor and `check` both run, and its conclusion. The defaults
+    are for rules on positions `i` and `j`.
+    """
 
+    __slots__ = ("conclusion", "summary")  # summary: None until `cutelim.summary` fills it
+    premises: tuple[str, ...] = ()
+    readers = (_parse_position, _parse_position)
+    keywords: tuple[str, ...]
+    j_premise = 0
 
-@dataclass(frozen=True, eq=False)
-class CutRule:
-    i: int
-    j: int
-    left: "Proof"
-    right: "Proof"
-    conclusion: Sequent = field(init=False)
-    summary: object = field(init=False, repr=False, compare=False)  # see cutelim.summary
+    def __init_subclass__(cls):
+        """Derive each argument's slot setter, and which arguments are not premises."""
+        cls._setters = tuple((a, getattr(cls, a).__set__) for a in cls.__match_args__)
+        cls._args = tuple(a for a in cls.__match_args__ if a not in cls.premises)
 
-    def __post_init__(self):
-        msgs = _cut_violations(self.i, self.j, self.left.conclusion, self.right.conclusion)
+    def __init__(self, *args):
+        fields = self._setters
+        if len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} arguments, got {len(args)}")
+        for k, (_, put) in enumerate(fields):
+            put(self, args[k])
+        msgs = self._violations()
         if msgs:
             raise ProofError("; ".join(msgs))
-        concl = _minus(self.left.conclusion, self.i) + _minus(self.right.conclusion, self.j)
-        object.__setattr__(self, "conclusion", concl)
+        _set_conclusion(self, self._conclude())
+        _set_summary(self, None)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} |- {print_sequent(self.conclusion)}>"
+
+    def _violations(self) -> list[str]:
+        return []
+
+    def _head(self) -> str:  # the rule's text up to its premises
+        return f"({self.keywords[0]} {self.i} {self.j}"
+
+
+def _out_of_range(rule: CutRule | TensorRule) -> list[str]:
+    """A cut's or tensor's positions that lie outside the premise they index."""
+    kw, lc, rc = rule.keywords[0], rule.left.conclusion, rule.right.conclusion
+    return [f"{kw} position {pos} out of range for {side} premise of length {len(c)}"
+            for pos, side, c in ((rule.i, "left", lc), (rule.j, "right", rc))
+            if not 1 <= pos <= len(c)]
+
+
+class AxiomRule(Rule):
+    __slots__ = __match_args__ = ("formula",)
+    readers = (parse_formula_stream,)
+    keywords = ("ax",)
+
+    def _conclude(self) -> Sequent:
+        return (self.formula.dual, self.formula)
+
+    def _head(self) -> str:
+        return f"({self.keywords[0]} {print_formula(self.formula)}"
+
+
+class CutRule(Rule):
+    __slots__ = __match_args__ = ("i", "j", "left", "right")
+    premises = ("left", "right")
+    keywords = ("cut",)
+    j_premise = 1
+
+    def _violations(self) -> list[str]:
+        out = _out_of_range(self)
+        lc, rc = self.left.conclusion, self.right.conclusion
+        if not out and lc[self.i - 1].dual is not rc[self.j - 1]:
+            out.append(f"cut formulas are not dual: {print_formula(lc[self.i - 1])}"
+                       f" vs {print_formula(rc[self.j - 1])}")
+        elif not out and len(lc) + len(rc) == 2:
+            out.append("cut would conclude the empty sequent")
+        return out
+
+    def _conclude(self) -> Sequent:
+        lc, rc, i, j = self.left.conclusion, self.right.conclusion, self.i, self.j
+        return lc[:i - 1] + lc[i:] + rc[:j - 1] + rc[j:]
 
     @property
     def cut_formula(self) -> Formula:
         return self.left.conclusion[self.i - 1]
 
 
-@dataclass(frozen=True, eq=False)
-class ParRule:
-    i: int
-    j: int
-    sub: "Proof"
-    conclusion: Sequent = field(init=False)
-    summary: object = field(init=False, repr=False, compare=False)  # see cutelim.summary
+class ParRule(Rule):
+    __slots__ = __match_args__ = ("i", "j", "sub")
+    premises = ("sub",)
+    keywords = ("par",)
 
-    def __post_init__(self):
-        msgs = _par_violations(self.i, self.j, self.sub.conclusion)
-        if msgs:
-            raise ProofError("; ".join(msgs))
-        prem = self.sub.conclusion
-        concl = _minus(prem, self.i, self.j) + (Par(prem[self.i - 1], prem[self.j - 1]),)
-        object.__setattr__(self, "conclusion", concl)
+    def _violations(self) -> list[str]:
+        n = len(self.sub.conclusion)
+        out = [f"par position {pos} out of range for premise of length {n}"
+               for pos in (self.i, self.j) if not 1 <= pos <= n]
+        if self.i == self.j:
+            out.append("par positions must be distinct")
+        return out
 
-
-@dataclass(frozen=True, eq=False)
-class TensorRule:
-    i: int
-    j: int
-    left: "Proof"
-    right: "Proof"
-    conclusion: Sequent = field(init=False)
-    summary: object = field(init=False, repr=False, compare=False)  # see cutelim.summary
-
-    def __post_init__(self):
-        msgs = _tensor_violations(self.i, self.j, self.left.conclusion, self.right.conclusion)
-        if msgs:
-            raise ProofError("; ".join(msgs))
-        principal = Tensor(self.left.conclusion[self.i - 1], self.right.conclusion[self.j - 1])
-        concl = (_minus(self.left.conclusion, self.i)
-                 + _minus(self.right.conclusion, self.j) + (principal,))
-        object.__setattr__(self, "conclusion", concl)
+    def _conclude(self) -> Sequent:
+        prem, i, j = self.sub.conclusion, self.i, self.j
+        rest = tuple(f for k, f in enumerate(prem, start=1) if k != i and k != j)
+        return rest + (Par(prem[i - 1], prem[j - 1]),)
 
 
-@dataclass(frozen=True, eq=False)
-class QRule:
-    arity: int
-    gate: UnitaryMatrix
-    sub: "Proof"
-    flip: bool = False
-    conclusion: Sequent = field(init=False)
-    summary: object = field(init=False, repr=False, compare=False)  # see cutelim.summary
+class TensorRule(Rule):
+    __slots__ = __match_args__ = ("i", "j", "left", "right")
+    premises = ("left", "right")
+    keywords = ("tensor",)
+    j_premise = 1
+    _violations = _out_of_range
 
-    def __post_init__(self):
-        msgs = _qrule_violations(self.arity, self.gate, self.sub.conclusion)
-        if msgs:
-            raise ProofError("; ".join(msgs))
+    def _conclude(self) -> Sequent:
+        lc, rc, i, j = self.left.conclusion, self.right.conclusion, self.i, self.j
+        return lc[:i - 1] + lc[i:] + rc[:j - 1] + rc[j:] + (Tensor(lc[i - 1], rc[j - 1]),)
+
+
+class QRule(Rule):
+    __slots__ = __match_args__ = ("arity", "gate", "sub", "flip")
+    premises = ("sub",)
+    readers = (_parse_position, _parse_gate)
+    keywords = ("q", "qflip")
+
+    def __init__(self, arity: int, gate: UnitaryMatrix, sub: Proof, flip: bool = False):
+        Rule.__init__(self, arity, gate, sub, flip)
+
+    def _violations(self) -> list[str]:
+        arity, prem = self.arity, self.sub.conclusion
+        out = []
+        if arity < 1:
+            out.append(f"quantum rule arity must be positive, got {arity}")
+        if len(prem) != 2:
+            out.append(f"quantum rule premise must have exactly 2 formulas, got {len(prem)}")
+            return out
+        if self.gate.dim_qubits != arity:
+            out.append(f"gate acts on {self.gate.dim_qubits} qubits but the declared arity "
+                       f"is {arity}")
+        a, b = prem
+        if is_modal(a) != is_modal(b):
+            out.append("quantum rule premise mixes a modal and a non-modal formula: "
+                       f"{print_formula(a)}, {print_formula(b)}")
+        return out
+
+    def _conclude(self) -> Sequent:
         a, b = self.sub.conclusion
         d_src, b_src = (b, a) if self.flip else (a, b)
-        concl = (wrap_modal("dia", self.arity, d_src), wrap_modal("box", self.arity, b_src))
-        object.__setattr__(self, "conclusion", concl)
+        return (wrap_modal("dia", self.arity, d_src), wrap_modal("box", self.arity, b_src))
+
+    def _head(self) -> str:
+        return f"({self.keywords[bool(self.flip)]} {self.arity} {print_gate(self.gate)}"
 
     @property
     def diamond_source(self) -> int:
@@ -159,55 +362,9 @@ class QRule:
 
 
 Proof = AxiomRule | CutRule | ParRule | TensorRule | QRule
-
-
-def _cut_violations(i: int, j: int, lc: Sequent, rc: Sequent) -> list[str]:
-    out = []
-    if not 1 <= i <= len(lc):
-        out.append(f"cut position {i} out of range for left premise of length {len(lc)}")
-    if not 1 <= j <= len(rc):
-        out.append(f"cut position {j} out of range for right premise of length {len(rc)}")
-    if not out and lc[i - 1].dual is not rc[j - 1]:
-        out.append(f"cut formulas are not dual: {print_formula(lc[i - 1])}"
-                   f" vs {print_formula(rc[j - 1])}")
-    if not out and len(lc) + len(rc) == 2:
-        out.append("cut would conclude the empty sequent")
-    return out
-
-
-def _par_violations(i: int, j: int, prem: Sequent) -> list[str]:
-    out = []
-    for pos in (i, j):
-        if not 1 <= pos <= len(prem):
-            out.append(f"par position {pos} out of range for premise of length {len(prem)}")
-    if i == j:
-        out.append("par positions must be distinct")
-    return out
-
-
-def _tensor_violations(i: int, j: int, lc: Sequent, rc: Sequent) -> list[str]:
-    out = []
-    if not 1 <= i <= len(lc):
-        out.append(f"tensor position {i} out of range for left premise of length {len(lc)}")
-    if not 1 <= j <= len(rc):
-        out.append(f"tensor position {j} out of range for right premise of length {len(rc)}")
-    return out
-
-
-def _qrule_violations(arity: int, gate: UnitaryMatrix, prem: Sequent) -> list[str]:
-    out = []
-    if arity < 1:
-        out.append(f"quantum rule arity must be positive, got {arity}")
-    if len(prem) != 2:
-        out.append(f"quantum rule premise must have exactly 2 formulas, got {len(prem)}")
-        return out
-    if gate.dim_qubits != arity:
-        out.append(f"gate acts on {gate.dim_qubits} qubits but the declared arity is {arity}")
-    a, b = prem
-    if is_modal(a) != is_modal(b):
-        out.append("quantum rule premise mixes a modal and a non-modal formula: "
-                   f"{print_formula(a)}, {print_formula(b)}")
-    return out
+_KEYWORDS = {kw: (rule, flip) for rule in Rule.__subclasses__()
+             for flip, kw in enumerate(rule.keywords)}
+_set_conclusion, _set_summary = Rule.conclusion.__set__, Rule.summary.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -225,31 +382,25 @@ def children(p: Proof) -> tuple[Proof, ...]:
     raise QmllError(f"not a proof node: {p!r}")
 
 
-_CHILD_FIELDS = {CutRule: ("left", "right"), TensorRule: ("left", "right"),
-                 ParRule: ("sub",), QRule: ("sub",)}
-
-
 def with_child(node: Proof, k: int, child: Proof) -> Proof:
     """`node` with its child k replaced and its position arguments kept.
 
     A rule's side conditions and conclusion read only its arguments and its
-    premises' conclusions. When `child` concludes the same formulas as the
-    child it replaces, the copy therefore keeps `node`'s validated
-    conclusion. Otherwise the constructor checks and derives it.
+    premises' conclusions, so when `child` concludes what the child it
+    replaces did, a copy keeps `node`'s conclusion (not its summary, which
+    describes the old subtree). Otherwise the constructor checks and derives it.
     """
-    if type(node) not in _CHILD_FIELDS:
+    if not node.premises:
         raise ProofError(f"node has no children: {node!r}")
-    name = _CHILD_FIELDS[type(node)][k]
-    old = getattr(node, name).conclusion
-    new = child.conclusion
-    if new == old:  # formulas are interned: equal is identical
+    name = node.premises[k]
+    if child.conclusion == getattr(node, name).conclusion:  # formulas are interned
         copy = object.__new__(type(node))
-        state = copy.__dict__
-        state.update(node.__dict__)
-        state.pop("summary", None)  # it describes the old subtree
-        state[name] = child
+        for a, put in node._setters:
+            put(copy, child if a == name else getattr(node, a))
+        _set_conclusion(copy, node.conclusion)
+        _set_summary(copy, None)
         return copy
-    return replace(node, **{name: child})
+    return type(node)(*(child if a == name else getattr(node, a) for a in node.__match_args__))
 
 
 def node_at(p: Proof, path: Path) -> Proof:
@@ -294,15 +445,15 @@ def proofs_equal(p: Proof, q: Proof, gate_tol: float = 1e-9) -> bool:
 
 def _same_rule(p: Proof, q: Proof, gate_tol: float) -> bool:
     """Whether two nodes of one type carry the same arguments, their premises aside."""
-    t = type(p)
-    if t is AxiomRule:
-        return p.formula is q.formula
-    if t is QRule:
-        g, h = p.gate.data, q.gate.data
-        if p.arity != q.arity or p.flip != q.flip or g.shape != h.shape:
+    for name in p._args:
+        a, b = getattr(p, name), getattr(q, name)
+        if type(a) is UnitaryMatrix:
+            g, h = a.data, b.data
+            if g.shape != h.shape or np.max(np.abs(g - h)) > gate_tol:
+                return False
+        elif a != b:  # formulas are interned: equal is identical
             return False
-        return not np.max(np.abs(g - h)) > gate_tol
-    return (t is CutRule or t is ParRule or t is TensorRule) and (p.i, p.j) == (q.i, q.j)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -393,23 +544,9 @@ class CheckReport:
 
 
 def check(p: Proof) -> CheckReport:
-    """Re-validate every rule instance; reports the first violation found."""
-    for path, node in iter_nodes(p):
-        msgs: list[str] = []
-        match node:
-            case AxiomRule():
-                if node.conclusion != (node.formula.dual, node.formula):
-                    msgs.append("axiom conclusion is not (dual, formula)")
-            case CutRule(i, j, l, r):
-                msgs = _cut_violations(i, j, l.conclusion, r.conclusion)
-            case ParRule(i, j, s):
-                msgs = _par_violations(i, j, s.conclusion)
-            case TensorRule(i, j, l, r):
-                msgs = _tensor_violations(i, j, l.conclusion, r.conclusion)
-            case QRule(n, g, s, _):
-                msgs = _qrule_violations(n, g, s.conclusion)
-        if not msgs and not node.conclusion:
-            msgs.append("empty conclusion")
+    """Re-run every rule instance's side conditions; reports the first violation found."""
+    for path, node in iter_nodes(p):  # conclusions are the constructors', not derived again
+        msgs = node._violations()
         if msgs:
             return CheckReport(False, ((path_str(path), msgs[0]),))
     return CheckReport(True)
@@ -433,9 +570,9 @@ def mll_axiom_link_matrix(p: Proof) -> np.ndarray:
         if type(node) is AxiomRule:
             link = next(links)
             return [[link], [link]]
-        other = 0 if type(node) is ParRule else 1  # the premise holding position j
         srcs = [premise_source(node, t) for t in range(1, len(node.conclusion))]
-        return [subs[c][q - 1] for c, q in srcs] + [subs[0][node.i - 1] + subs[other][node.j - 1]]
+        principal = subs[0][node.i - 1] + subs[node.j_premise][node.j - 1]
+        return [subs[c][q - 1] for c, q in srcs] + [principal]
 
     flat: list[int] = [link for lv in fold(p, _mll_premises, leaves) for link in lv]
     n = len(flat)
@@ -459,160 +596,3 @@ def _mll_premises(node: Proof) -> tuple[Proof, ...]:
     if t is QRule:
         raise PreconditionError("proof contains a quantum rule")
     return children(node)
-
-
-# ---------------------------------------------------------------------------
-# parsing / printing
-
-
-def _parse_gate(ts: tk.TokenStream) -> UnitaryMatrix:
-    t = ts.peek()
-    if t.kind == tk.IDENT:
-        ts.next()
-        try:
-            return gate_by_name(t.text)
-        except PreconditionError:  # a well-formed name over the qubit cap
-            raise
-        except QmllError as e:
-            raise ProofSyntaxError(str(e), t.pos) from e
-    if t.kind == tk.LP:
-        ts.next()
-        kw = ts.expect(tk.IDENT, ProofSyntaxError)
-        if kw.text != "mat":
-            raise ProofSyntaxError(f"expected 'mat', found {kw.text!r}", kw.pos)
-        rows = []
-        while ts.peek().kind == tk.ROW:
-            rows.append(ts.next().text)
-        ts.expect(tk.RP, ProofSyntaxError)
-        if not rows:
-            raise ProofSyntaxError("empty matrix literal", t.pos)
-        check_qubits((len(rows) - 1).bit_length())
-        data = _literal_data(rows, t.pos)
-        try:
-            return UnitaryMatrix(data)
-        except QmllError as e:
-            raise ProofSyntaxError(f"bad matrix literal: {e}", t.pos) from e
-    raise ProofSyntaxError(f"expected a gate, found {t.text!r}", t.pos)
-
-
-_ROW_PUNCT = str.maketrans("[],", "   ")
-
-
-def _literal_data(rows: list[str], pos: int) -> np.ndarray:
-    """The matrix spelled by ROW token texts; entries are bit for bit `complex(re, im)`.
-
-    The tokenizer has checked each row's shape, so its numbers are the words
-    left when brackets and commas are read as spaces.
-    """
-    nums = [row.translate(_ROW_PUNCT).split() for row in rows]
-    width = len(nums[0])
-    for k, row in enumerate(nums[1:], start=2):
-        if len(row) != width:
-            raise ProofSyntaxError(f"ragged matrix literal: row {k} has {len(row) // 2} "
-                                   f"entries, row 1 has {width // 2}", pos)
-    flat = np.array([float(x) for row in nums for x in row])
-    return flat.view(complex).reshape(len(rows), width // 2)
-
-
-def _parse_position(ts: tk.TokenStream) -> int:
-    t = ts.expect(tk.NUMBER, ProofSyntaxError)
-    try:
-        return int(t.text)
-    except ValueError:
-        raise ProofSyntaxError(f"expected an integer position, found {t.text!r}", t.pos)
-
-
-_RULES = {"cut": (CutRule, 2), "tensor": (TensorRule, 2), "par": (ParRule, 1),
-          "q": (QRule, 1), "qflip": (partial(QRule, flip=True), 1)}
-
-
-def _open_rule(ts: tk.TokenStream) -> tuple:
-    """Read a rule's `(`, keyword and head: (constructor, head, premises read, premise count)."""
-    ts.expect(tk.LP, ProofSyntaxError)
-    kw = ts.expect(tk.IDENT, ProofSyntaxError)
-    if kw.text == "ax":
-        return (AxiomRule, (parse_formula_stream(ts),), [], 0)
-    if kw.text not in _RULES:
-        raise ProofSyntaxError(f"unknown rule {kw.text!r}", kw.pos)
-    ctor, arity = _RULES[kw.text]
-    if kw.text in ("q", "qflip"):
-        head = (_parse_position(ts), _parse_gate(ts))
-    else:
-        head = (_parse_position(ts), _parse_position(ts))
-    return (ctor, head, [], arity)
-
-
-def parse_proof(text: str) -> Proof:
-    """Parse and check a proof; raises on syntax errors or rule violations.
-
-    One left-to-right pass over the tokens, on an explicit stack of open
-    rules: a rule's head is read when its `(` opens, and its checking
-    constructor builds it when its `)` closes. A rule that fails its check is
-    recorded with its path, and no rule above it is built; the violations
-    come out in post-order, after the whole text has parsed.
-    """
-    ts = tk.TokenStream(tk.tokenize(text))
-    violations: list[tuple[str, str]] = []
-    stack: list[tuple] = []  # the open ancestors of the rule being read
-    while True:
-        rule = _open_rule(ts)
-        while len(rule[2]) == rule[3]:
-            ts.expect(tk.RP, ProofSyntaxError)
-            ctor, head, premises, _ = rule
-            node = None
-            if None not in premises:
-                try:
-                    node = ctor(*head, *premises)
-                except ProofError as e:
-                    # each ancestor's premises read so far index the child below it
-                    path = tuple(len(r[2]) for r in stack)
-                    violations.append((path_str(path), str(e)))
-            if not stack:
-                end = ts.peek()
-                if end.kind != tk.EOF:
-                    raise ProofSyntaxError(f"trailing input {end.text!r}", end.pos)
-                if violations:
-                    raise CheckFailure(CheckReport(False, tuple(violations)))
-                return node
-            rule = stack.pop()
-            rule[2].append(node)
-        stack.append(rule)
-
-
-def print_gate(g: UnitaryMatrix) -> str:
-    if g.name is not None:
-        return g.name
-    return "(mat " + " ".join(render_rows(g.data)) + ")"
-
-
-def print_proof(p: Proof) -> str:
-    """The file syntax of p, written out in pre-order from an explicit stack."""
-    out: list[str] = []
-    stack: list[Proof | str] = [p]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        out.append(_rule_head(item))
-        stack.append(")")
-        for c in reversed(children(item)):
-            stack.append(c)
-            stack.append(" ")
-    return "".join(out)
-
-
-def _rule_head(node: Proof) -> str:
-    """A rule's text up to its premises."""
-    t = type(node)
-    if t is AxiomRule:
-        return f"(ax {print_formula(node.formula)}"
-    if t is QRule:
-        return f"({'qflip' if node.flip else 'q'} {node.arity} {print_gate(node.gate)}"
-    if t is CutRule:
-        return f"(cut {node.i} {node.j}"
-    if t is ParRule:
-        return f"(par {node.i} {node.j}"
-    if t is TensorRule:
-        return f"(tensor {node.i} {node.j}"
-    raise QmllError(f"not a proof node: {node!r}")

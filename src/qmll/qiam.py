@@ -167,8 +167,8 @@ def _move(graph: OccurrenceGraph, i: int, pos: int, ctx: Context, positive: bool
         if src is not None:
             return graph.first_child[i] + src[0], src[1], ctx, False, stack, None
         # the principal formula of a par or tensor: the context picks the component
-        name, left, right = (("par", PAR_L, PAR_R) if isinstance(node, ParRule)
-                             else ("tensor", TENS_L, TENS_R))
+        left, right = (PAR_L, PAR_R) if isinstance(node, ParRule) else (TENS_L, TENS_R)
+        name = node.keywords[0]
         if not ctx.steps:
             return f"empty context at a {name} principal formula"
         kind, _ = ctx.steps[0]
@@ -176,8 +176,7 @@ def _move(graph: OccurrenceGraph, i: int, pos: int, ctx: Context, positive: bool
         if kind == left:
             return graph.first_child[i], node.i, inner, False, stack, None
         if kind == right:
-            k = 0 if name == "par" else 1
-            return graph.first_child[i] + k, node.j, inner, False, stack, None
+            return graph.first_child[i] + node.j_premise, node.j, inner, False, stack, None
         return f"context does not enter the {name} formula"
 
     # positive: descend through the rule below
@@ -246,7 +245,9 @@ def initial_state(graph: OccurrenceGraph, entry_pos: int, ctx: Context,
         if register.n_qubits != n:
             raise PreconditionError(
                 f"register has {register.n_qubits} qubits, the context needs {n}")
-        if not abs(register.norm() - 1.0) <= 1e-9:  # a NaN norm fails too
+        with np.errstate(all="ignore"):  # an overflowing norm is refused below
+            norm = register.norm()
+        if not abs(norm - 1.0) <= 1e-9:  # a NaN norm fails too
             raise PreconditionError("register is not normalized")
     return MachineState((), entry_pos, ctx, False, (), register)
 

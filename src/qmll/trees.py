@@ -14,8 +14,8 @@ def memo_fold(root: N, attr: str, kids: Callable[[N], Sequence[N]],
 
     `kids(node)` lists a node's children and `combine(node, values)` derives
     a node's value from its children's. Each value is stored on its node with
-    `object.__setattr__` (the nodes are frozen dataclasses declaring `attr`
-    as a non-init field), so a later fold stops at every node that already
+    `object.__setattr__` (the nodes are immutable, with a slot `attr` that
+    holds None until then), so a later fold stops at every node that already
     carries one and costs only the nodes built since. The post-order runs on
     an explicit stack: tree depth never meets the recursion limit.
     """

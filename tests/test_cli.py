@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -392,3 +393,29 @@ def test_any_circuit_json_gets_an_answer_or_one_error_line(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert code in (0, 1) and "Traceback" not in err
     assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1)
+
+
+@pytest.mark.parametrize("name, content, argv, code, err", [
+    ("p.proof", b"\xff(ax a)", ["check"], 2,
+     "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+    ("p.proof", b"(q 1 H (ax a))", ["run", "--input", "[[1e308,1e308],[1e308,0]]"], 1,
+     "error: register is not normalized\n"),
+    ("p.proof", b"(q 1 (mat [[1e300,0],[0,0]] [[0,0],[1e300,0]]) (ax a))", ["check"], 2,
+     "syntax error: bad matrix literal: matrix is not unitary"),
+    ("c.json", b'{"qubits":1,"gates":[{"matrix":[[[1e300,0],[0,0]],[[0,0],[1e300,0]]],'
+               b'"targets":[1]}]}', ["encode"], 1, "error: matrix is not unitary"),
+    ("p.proof", b"(q 1 H (ax a))", ["run", "--input", "[[true,false],[false,false]]"], 2,
+     "error: --input must be a JSON list of [re,im] pairs: "
+     "expected an entry [re,im] of two JSON numbers, found [true, false]\n"),
+])
+def test_undecodable_overflowing_or_boolean_input_writes_one_error_line(
+        tmp_path, capsys, name, content, argv, code, err):
+    """No numpy warning and no traceback: the error line is all of stderr."""
+    f = tmp_path / name
+    f.write_bytes(content)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([argv[0], str(f), *argv[1:]]) == code
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(err) and captured.err.count("\n") == 1

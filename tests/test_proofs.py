@@ -594,3 +594,56 @@ def test_violations_keep_their_post_order_paths():
         ("1.0", "gate acts on 2 qubits but the declared arity is 1"),
         ("1.1", "cut formulas are not dual: ~c vs ~c"))
     _assert_same_reading(text)
+
+
+def test_repr_and_str_of_a_3000_deep_chain_return():
+    from qmll.formulas import Atom
+    from qmll.matrices import identity_gate
+    p = CutRule(2, 1, AxiomRule(Atom("a")), AxiomRule(Atom("a")))
+    for _ in range(3000):
+        p = QRule(1, identity_gate(1), p, flip=True)
+    assert repr(p) == str(p) == f"<QRule |- {print_sequent(p.conclusion)}>"
+    assert repr(parse_proof("(par 1 2 (ax a))")) == "<ParRule |- (~a % a)>"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(cut 3 1 (ax a) (ax a))", "cut position 3 out of range for left premise of length 2"),
+    ("(cut 2 5 (ax a) (ax a))", "cut position 5 out of range for right premise of length 2"),
+    ("(cut 2 1 (ax a) (ax b))", "cut formulas are not dual: a vs ~b"),
+    ("(par 1 3 (ax a))", "par position 3 out of range for premise of length 2"),
+    ("(par 2 2 (ax a))", "par positions must be distinct"),
+    ("(tensor 3 1 (ax a) (ax b))", "tensor position 3 out of range for left premise of length 2"),
+    ("(tensor 1 0 (ax a) (ax b))", "tensor position 0 out of range for right premise of length 2"),
+    ("(q 0 H (ax a))", "quantum rule arity must be positive, got 0; "
+                       "gate acts on 1 qubits but the declared arity is 0"),
+    ("(q 2 H (ax a))", "gate acts on 1 qubits but the declared arity is 2"),
+    ("(q 1 H (tensor 2 2 (ax a) (ax b)))",
+     "quantum rule premise must have exactly 2 formulas, got 3"),
+    ("(q 1 H (par 1 3 (tensor 2 1 (ax a) (ax [] b))))",
+     "quantum rule premise mixes a modal and a non-modal formula: [] b, (~a % (a * <> ~b))"),
+])
+def test_each_side_condition_reports_its_message(text, message):
+    with pytest.raises(CheckFailure) as e:
+        parse_proof(text)
+    assert str(e.value) == f"at root: {message}"
+
+
+def test_a_cut_of_two_one_formula_premises_would_conclude_nothing():
+    """No two proofs conclude one formula and its dual alone, so stand-ins play the premises."""
+    from types import SimpleNamespace
+    from qmll.formulas import Atom
+    left, right = (SimpleNamespace(conclusion=(f,)) for f in (Atom("a", False), Atom("a")))
+    with pytest.raises(ProofError, match=r"^cut would conclude the empty sequent$"):
+        CutRule(1, 1, left, right)
+
+
+def test_assigning_or_deleting_a_rule_node_attribute_raises():
+    texts = ["(cut 2 1 (q 1 H (ax a)) (q 1 X (ax a)))", "(par 1 3 (tensor 2 1 (ax a) (ax a)))"]
+    p, q = map(parse_proof, texts)
+    for node, name in ((p, "i"), (p, "conclusion"), (p, "summary"), (p.left, "gate"),
+                       (p.left, "flip"), (p.left.sub, "formula"), (q, "sub"), (q.sub, "j")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert [print_proof(p), print_proof(q)] == texts

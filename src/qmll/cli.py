@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 
@@ -17,7 +18,7 @@ from .circuits import circuit_from_json, circuit_to_json, encode, extract, json_
 from .cutelim import normalize, trace_lines
 from .errors import CheckFailure, QmllError, SyntaxLocationError
 from .formulas import context_along, depth
-from .matrices import StateVector, basis_state, render_rows, zero_state
+from .matrices import StateVector, basis_state, is_basis_label, render_rows, zero_state
 from .proofs import Proof, check, mll_axiom_link_matrix, parse_proof, print_proof, print_sequent
 from .qiam import OccurrenceGraph, initial_state, negative_entries, run, semantics_relative
 
@@ -27,8 +28,9 @@ class InputError(ValueError):
 
 
 def _read(path: str) -> str:
+    """The text of file `path`, or of stdin for "-", read alike: strict UTF-8, universal newlines."""
     if path == "-":
-        return sys.stdin.read()
+        return io.StringIO(sys.stdin.buffer.read().decode("utf-8"), newline=None).read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
@@ -67,8 +69,9 @@ def _parse_state(arg: str | None, n: int) -> StateVector:
         return zero_state(n)
     arg = arg.strip()
     if arg.startswith("|"):
-        label = arg.strip("|>")
-        return basis_state(label)
+        if not (arg.endswith(">") and is_basis_label(arg[1:-1])):
+            raise InputError(f"--input label must be |bits> with bits 0 or 1, found {arg!r}")
+        return basis_state(arg[1:-1])
     try:  # JSONDecodeError is a ValueError; too deep a nesting, a RecursionError
         amps = [json_complex(v) for v in json.loads(arg)]
     except (TypeError, ValueError, OverflowError, RecursionError) as e:

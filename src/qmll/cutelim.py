@@ -33,21 +33,22 @@ because parsing and encoding build many proofs that are never normalized,
 and would pay for them at construction.
 
 One engine fires redexes: a zipper (`_Zipper`) that holds the proof as a
-focus subtree under a stack of parent frames. The frames keep running sums
-of the redex counts on either side of the path, so the offered family and
-its number of instances are known in O(1). Each step picks the index of an
-offered redex in post-order (0 for the leftmost strategy, a draw of the
-seeded generator for the random one), moves the focus up only while that
-index lies outside it, then down by counts, and fires there. A step thus
-costs the distance between consecutive redexes, not their depth. The
-step's permutation is pushed into the frames only until it becomes the
-identity; a parent is rebuilt only when the focus leaves it upwards, and
-the root once, when the zipper closes. The weight is tracked by delta and
-still checked to fall on every step; the root's summary must agree with it
-at the end. `step` runs the same engine on one redex: it opens a zipper
-along the redex path, fires, and closes. It fires only a node's own redex,
-as the node's summary names it, so each schema's shape is recognized in
-`_cut_redex` and `_summarize` alone.
+focus subtree under a stack of parent frames. The zipper tracks the proof's
+redex counts by delta, like its weight, so the offered family and its
+number of instances are known in O(1); the frames keep the counts to the
+left of the path. Each step picks the index of an offered redex in
+post-order (0 for the leftmost strategy, a draw of the seeded generator for
+the random one), moves the focus up only while that index lies outside it,
+then down by counts, and fires there. A step thus costs the distance
+between consecutive redexes, not their depth. The step's permutation is
+pushed into the frames only until it becomes the identity; a parent is
+rebuilt only when the focus leaves it upwards, and the root once, when the
+zipper closes. The weight is checked to fall on every step, and the root's
+summary must agree with the tracked totals at the end. `step` runs the
+same engine on one redex: it opens a zipper along the redex path, fires,
+and closes. It fires only a node's own redex, as the node's summary names
+it, so each schema's shape is recognized in `_cut_redex` and `_summarize`
+alone.
 
 A rebuilt node whose new premise concludes the same formulas keeps its
 conclusion; any other is built by its checking constructor (`proofs.with_child`).
@@ -65,10 +66,10 @@ from typing import NamedTuple
 from .errors import MachineError, ProofError, StaleRedexError
 from .formulas import leading_run, modal_chain, print_formula
 from .matrices import identity_gate, matmul, tensor
-from .proofs import (AxiomRule, CutRule, ParRule, Path, Proof, QRule, TensorRule, children,
-                     conclusion_position, path_str, premise_source, proofs_equal, rule_count,
-                     with_child)
-from .trees import fold, memo_fold
+from .proofs import (AxiomRule, CutRule, ParRule, Path, Proof, QRule, TensorRule,
+                     children, conclusion_position, path_str, premise_source, proofs_equal,
+                     rule_count, with_child)
+from .trees import fold
 
 Perm = tuple[int, ...]  # perm[old_pos - 1] = new_pos, 1-based
 
@@ -130,38 +131,35 @@ def _axiom_elim_perm(node: CutRule, side: str) -> Perm:
 
 
 def _cut_redex(i: int, j: int, L: Proof, R: Proof) -> tuple | None:
-    """The own redex of a cut at (i, j) over premises L and R, as (kind, data), or None."""
+    """The own redex of a cut at (i, j) over L and R, as (family, kind, data), or None."""
     right_ax, left_ax = isinstance(R, AxiomRule), isinstance(L, AxiomRule)
     if right_ax or left_ax:
         # an axiom on the right, unless only the left one's elimination keeps
         # every position (`_axiom_elim_perm` is the identity exactly when
         # i is last on the left, or j first on the right)
         if right_ax and not (left_ax and j == 1 and i != len(L.conclusion)):
-            return "AxiomRed", ("right",)
-        return "AxiomRed", ("left",)
+            return 1, "AxiomRed", ("right",)
+        return 1, "AxiomRed", ("left",)
     li, lj = len(L.conclusion), len(R.conclusion)
     if isinstance(L, TensorRule) and i == li and isinstance(R, ParRule) and j == lj:
-        return "MultPrincipal", ("tensor_left",)
+        return 3, "MultPrincipal", ("tensor_left",)
     if isinstance(L, ParRule) and i == li and isinstance(R, TensorRule) and j == lj:
-        return "MultPrincipal", ("par_left",)
+        return 3, "MultPrincipal", ("par_left",)
     if isinstance(L, QRule) and isinstance(R, QRule):
         if L.arity == R.arity:
             case = "A" if (i, j) == (2, 1) else "B"
-            return "QuantumPrincipal", (case,)
+            return 4, "QuantumPrincipal", (case,)
         return None
     # a par or tensor that does not introduce the cut formula commutes below the cut
     for x, pos, side in ((R, j, "R"), (L, i, "L")):
         src = premise_source(x, pos) if type(x) in (ParRule, TensorRule) else None
         if src is not None:
             if type(x) is ParRule:
-                return "CommutePar", (side,)
-            return ("CommuteTensorLeft", "CommuteTensorRight")[src[0]], (side,)
+                return 5, "CommutePar", (side,)
+            return 5, ("CommuteTensorLeft", "CommuteTensorRight")[src[0]], (side,)
     return None
 
 
-_FAMILY = {"EtaExpand": 0, "AxiomRed": 1, "QContract": 2, "MultPrincipal": 3,
-           "QuantumPrincipal": 4, "CommutePar": 5, "CommuteTensorLeft": 5,
-           "CommuteTensorRight": 5}
 _SINGLE = {3, 4, 5}  # families whose firing can spawn higher-priority redexes
 _WIDTH = 32  # bits per family in `Summary.counts`
 _FIELD = (1 << _WIDTH) - 1
@@ -193,8 +191,7 @@ def _own_over(node: Proof, k: int, child: Proof) -> tuple | None:
         return _QCONTRACT if not node.flip and type(child) is QRule else None
     if type(node) is CutRule:
         L, R = (child, node.right) if k == 0 else (node.left, child)
-        red = _cut_redex(node.i, node.j, L, R)
-        return None if red is None else (_FAMILY[red[0]],) + red
+        return _cut_redex(node.i, node.j, L, R)
     return None
 
 
@@ -223,8 +220,21 @@ def _summarize(node: Proof, subs: list[Summary]) -> Summary:
 
 
 def summary(p: Proof) -> Summary:
-    """The memoized summary of p, filled in on every node that lacks one."""
-    return memo_fold(p, "summary", children, _summarize)
+    """The memoized summary of p, filled in bottom-up, on an explicit stack, where missing."""
+    if p.summary is not None:
+        return p.summary
+    stack = [p]
+    while stack:
+        node = stack[-1]
+        kids = children(node)
+        subs = [c.summary for c in kids]
+        if None in subs:
+            stack.extend(c for c, s in zip(kids, subs) if s is None)
+            continue
+        stack.pop()
+        if node.summary is None:  # else a shared subtree, finished earlier
+            object.__setattr__(node, "summary", _summarize(node, subs))
+    return p.summary
 
 
 def find_redexes(p: Proof) -> list[Redex]:
@@ -425,32 +435,26 @@ def step(proof: Proof, redex: Redex) -> tuple[Proof, Perm]:
 
 
 class _Frame:
-    """A parent on the zipper's path, and what the path's other side holds down to it.
+    """A parent on the zipper's path, and the redex counts left of the path down to it.
 
     `node` may still hold an earlier version of child k: it is brought up to
     date only when the focus leaves it upwards. Its position arguments are
     always current, because a step's permutation is pushed into them, and
     `own` is its own redex over the current child. `left` sums the redex
     counts of everything left of the path at this frame and above, which is
-    everything before the focus in post-order; `right` does the same for
-    what lies right of it, ancestors' own redexes included. `scale` sums
-    3^size(cut formula) over the cuts among the frames.
+    everything before the focus in post-order. `scale` sums 3^size(cut
+    formula) over the cuts among the frames.
     """
 
-    __slots__ = ("node", "k", "own", "rsib", "left", "right", "scale")
+    __slots__ = ("node", "k", "own", "left", "scale")
 
     def __init__(self, node: Proof, k: int, above: _Frame | None):
-        kids = children(node)
         self.node, self.k, self.own = node, k, node.summary.own
-        self.rsib = kids[1].summary.counts if k == 0 and len(kids) == 2 else 0
-        lsib = kids[0].summary.counts if k else 0
-        scale = 3 ** node.cut_formula.size if type(node) is CutRule else 0
-        if above is None:
-            self.left, self.right, self.scale = lsib, 0, scale
-        else:
-            self.left, self.right = above.left + lsib, above.right
-            self.scale = above.scale + scale
-        self.right += self.rsib + _one(self.own)
+        self.left = children(node)[0].summary.counts if k else 0
+        self.scale = 3 ** node.cut_formula.size if type(node) is CutRule else 0
+        if above is not None:
+            self.left += above.left
+            self.scale += above.scale
 
 
 class _Zipper:
@@ -459,14 +463,15 @@ class _Zipper:
     Normalization seeks an offered redex, fires at the focus and seeks
     again, so a step costs the way between consecutive redexes rather than
     the depth of the redex. The frames' counts say whether a redex lies
-    left of the focus, inside it, or after it; the weight and the rule
-    count are tracked by delta.
+    left of the focus, inside it, or after it; the weight, the rule count
+    and the whole proof's redex counts are tracked by delta.
     """
 
     def __init__(self, p: Proof):
         s = summary(p)
         self.focus, self.frames, self.path = p, [], []
-        self.weight, self.rules, self.width = s.weight, s.rules, len(p.conclusion)
+        self.weight, self.rules, self.counts = s.weight, s.rules, s.counts
+        self.width = len(p.conclusion)
 
     def down(self, k: int) -> None:
         """Move the focus to its child k."""
@@ -487,9 +492,7 @@ class _Zipper:
 
     def offered(self) -> tuple[int, int]:
         """The offered family and how many of its redexes are offered (0 when none is)."""
-        counts = self.focus.summary.counts
-        if self.frames:
-            counts += self.frames[-1].left + self.frames[-1].right
+        counts = self.counts
         if not counts:
             return 0, 0
         fam = ((counts & -counts).bit_length() - 1) // _WIDTH  # the field of the lowest bit
@@ -529,7 +532,9 @@ class _Zipper:
         The permutation is pushed into the frames only until it becomes the
         identity. The root weight changes by the focus's change in weight
         plus its change in multiplicative rules times each cut ancestor's
-        3^size, which is the frames' `scale`.
+        3^size, which is the frames' `scale`. The root's redex counts change
+        by the focus's change in counts and by the own redex of each frame
+        rebuilt, or else of the parent, whose premise changed.
         """
         old = self.focus.summary
         new, sigma = _fire(self.focus, r)
@@ -541,35 +546,35 @@ class _Zipper:
         if w >= self.weight:
             raise MachineError(f"weight failed to decrease on {r}: {self.weight} -> {w}")
         self.weight, self.rules, self.focus = w, self.rules + s.rules - old.rules, new
+        counts = self.counts + s.counts - old.counts
         child = new
         while d and sigma != _identity(len(sigma)):
             d -= 1
             fr = frames[d]
             child, sigma = _rebuild(fr.node, fr.k, child, sigma)
-            fr.node, fr.own = child, summary(child).own
-        root_sigma = sigma if d == 0 else _identity(self.width)
-        if d == len(frames):  # nothing rebuilt: only the parent's premise changed
-            if not d:
-                return root_sigma
-            d -= 1
-            frames[d].own = _own_over(frames[d].node, frames[d].k, new)
-        right = frames[d - 1].right if d else 0
-        for fr in frames[d:]:
-            right += fr.rsib + _one(fr.own)
-            fr.right = right
-        return root_sigma
+            own = summary(child).own
+            counts += _one(own) - _one(fr.own)
+            fr.node, fr.own = child, own
+        if d == len(frames) and d:  # nothing rebuilt: only the parent's premise changed
+            fr = frames[-1]
+            own = _own_over(fr.node, fr.k, new)
+            counts += _one(own) - _one(fr.own)
+            fr.own = own
+        self.counts = counts
+        return sigma if d == 0 else _identity(self.width)
 
     def close(self) -> Proof:
         """Move the focus up to the root and return it.
 
-        The tracked weight and rule count must equal the root's summary.
+        The tracked weight, rule count and redex counts must equal the root's summary.
         """
         while self.frames:
             self.up()
         s = summary(self.focus)
-        if (s.weight, s.rules) != (self.weight, self.rules):
-            raise MachineError(f"tracked weight {self.weight} and rule count {self.rules} "
-                               f"differ from the root's {s.weight} and {s.rules}")
+        if (s.weight, s.rules, s.counts) != (self.weight, self.rules, self.counts):
+            raise MachineError(f"tracked weight {self.weight}, rule count {self.rules} and "
+                               f"redex counts {self.counts:#x} differ from the root's "
+                               f"{s.weight}, {s.rules} and {s.counts:#x}")
         return self.focus
 
     def normalize(self, limit: int, rng: random.Random | None) -> ReductionTrace:

@@ -135,9 +135,14 @@ def zero_state(n: int) -> StateVector:
     return StateVector(n, v)
 
 
+def is_basis_label(bits: str) -> bool:
+    """Whether bits names a basis state: one or more 0/1 digits."""
+    return bits != "" and set(bits) <= {"0", "1"}
+
+
 def basis_state(bits: str) -> StateVector:
     """Build |bits> from a 0/1 string, leftmost bit = qubit 1."""
-    if not bits or any(c not in "01" for c in bits):
+    if not is_basis_label(bits):
         raise PreconditionError(f"bad basis label {bits!r}")
     check_qubits(len(bits))
     v = np.zeros(2**len(bits), dtype=complex)

@@ -423,7 +423,7 @@ def rule_count(p: Proof) -> int:
     total, stack = 0, [p]
     while stack:
         node = stack.pop()
-        memo = getattr(node, "summary", None)
+        memo = node.summary
         if memo is not None:
             total += memo.rules
         else:

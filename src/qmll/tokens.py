@@ -17,9 +17,9 @@ LP, RP, RB, COMMA = "(", ")", "]", ","
 BOX, DIAMOND, TILDE, PERCENT, STAR = "[]", "<>", "~", "%", "*"
 IDENT, NUMBER, ROW, EOF = "ident", "number", "row", "eof"
 
-# A number inside a row: exactly the spellings of NUMBER that float() reads.
-_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_ENTRY = rf"\[\s*{_NUMBER}\s*,\s*{_NUMBER}\s*\]"
+# A NUMBER token, and a number inside a row: exactly the spellings float() reads.
+_NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_ENTRY = rf"\[\s*{_NUMBER.pattern}\s*,\s*{_NUMBER.pattern}\s*\]"
 _ROW = re.compile(rf"\[\s*{_ENTRY}(?:\s*,\s*{_ENTRY})*\s*\]")
 
 _PUNCT = {"(": LP, ")": RP, "]": RB, ",": COMMA, "~": TILDE, "%": PERCENT, "*": STAR}
@@ -60,20 +60,9 @@ def tokenize(text: str) -> list[Token]:
                 i += 2
             else:
                 raise SyntaxLocationError("expected '>' after '<'", i)
-        elif c.isdigit() or (c in "+-" and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")) or c == ".":
-            j = i
-            if text[j] in "+-":
-                j += 1
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                j += 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            toks.append(Token(NUMBER, text[i:j], i))
-            i = j
+        elif (c.isdigit() or c in "+-.") and (m := _NUMBER.match(text, i)):
+            toks.append(Token(NUMBER, m.group(), i))
+            i = m.end()
         elif c.isalpha() or c == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):

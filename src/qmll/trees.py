@@ -8,34 +8,6 @@ N = TypeVar("N")
 V = TypeVar("V")
 
 
-def memo_fold(root: N, attr: str, kids: Callable[[N], Sequence[N]],
-              combine: Callable[[N, list], V]) -> V:
-    """The value of `attr` on `root`, computing it bottom-up where it is missing.
-
-    `kids(node)` lists a node's children and `combine(node, values)` derives
-    a node's value from its children's. Each value is stored on its node with
-    `object.__setattr__` (the nodes are immutable, with a slot `attr` that
-    holds None until then), so a later fold stops at every node that already
-    carries one and costs only the nodes built since. The post-order runs on
-    an explicit stack: tree depth never meets the recursion limit.
-    """
-    done = getattr(root, attr, None)
-    if done is not None:
-        return done
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        sub = kids(node)
-        values = [getattr(c, attr, None) for c in sub]
-        if None in values:
-            stack.extend(c for c, v in zip(sub, values) if v is None)
-            continue
-        stack.pop()
-        if getattr(node, attr, None) is None:  # else a shared subtree, finished earlier
-            object.__setattr__(node, attr, combine(node, values))
-    return getattr(root, attr)
-
-
 def fold(root: N, kids: Callable[[N], Sequence[N]], combine: Callable[[N, list], V]) -> V:
     """`combine(node, values)` at `root`, where `values` are the folds of node's children.
 

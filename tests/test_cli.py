@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -419,3 +421,56 @@ def test_undecodable_overflowing_or_boolean_input_writes_one_error_line(
     assert caught == []
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(err) and captured.err.count("\n") == 1
+
+
+def test_stdin_is_read_as_utf8_like_a_file(tmp_path, capsys, monkeypatch):
+    content = b"\xff(ax a)"
+    f = tmp_path / "p.proof"
+    f.write_bytes(content)
+    assert main(["check", str(f)]) == 2
+    from_file = capsys.readouterr()
+    # stdin's text layer, here Latin-1, must not decide how its bytes are read
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(content), encoding="latin-1"))
+    assert main(["check", "-"]) == 2
+    assert capsys.readouterr() == from_file
+    assert from_file.err.startswith("error: 'utf-8' codec") and from_file.err.count("\n") == 1
+
+
+def test_a_file_and_stdin_count_carriage_returns_alike(tmp_path, capsys, monkeypatch):
+    content = b"(par 1 2\r\n (tensor 1 1 (ax a) (ax b))\r\n x)"
+    f = tmp_path / "p.proof"
+    f.write_bytes(content)
+    assert main(["check", str(f)]) == 2
+    from_file = capsys.readouterr()
+    # a POSIX stdin's text layer splits lines at "\n" and keeps each "\r"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(content), newline="\n"))
+    assert main(["check", "-"]) == 2
+    assert capsys.readouterr() == from_file
+    assert from_file.err == "syntax error: expected ')', found 'x' (at offset 38)\n"
+
+
+@pytest.mark.parametrize("label", ["|2>", "|>", "|0 1>"])
+def test_a_malformed_input_label_exits_2_with_one_line(tmp_path, capsys, label):
+    f = write(tmp_path, "p.proof", "(q 1 H (ax a))")
+    assert main(["run", f, "--input", label]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --input ") and captured.err.count("\n") == 1
+
+
+def test_an_input_label_over_the_qubit_cap_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QMLL_MAX_QUBITS", "3")
+    f = write(tmp_path, "p.proof", "(q 1 H (ax a))")
+    assert main(["run", f, "--input", "|0101>"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: 4 qubits exceeds the configured cap of 3\n"
+
+
+@pytest.mark.parametrize("position", ["1.2.3", ".", "1e", "+.", "\u00b2"])
+def test_a_position_that_is_no_integer_exits_2_with_one_line(tmp_path, capsys, position):
+    f = tmp_path / "p.proof"
+    f.write_bytes(f"(par {position} 2 (tensor 1 1 (ax a) (ax b)))".encode())
+    assert main(["check", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("syntax error: ") and captured.err.count("\n") == 1

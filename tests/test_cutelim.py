@@ -699,6 +699,25 @@ def test_a_tracked_weight_that_drifts_is_caught(monkeypatch):
         normalize(p)
 
 
+def test_tracked_redex_counts_that_drift_are_caught(monkeypatch):
+    # contracting the left premise's quantum rules leaves the inner cut over
+    # arities 2 and 1, which ends its quantum principal redex; a frame that
+    # forgot that redex would track counts the built proof does not have
+    p = parse_proof(FIG4)
+    r = Redex("QContract", (0, 0))
+    assert summary(p.left).own[1] == "QuantumPrincipal"
+    assert summary(step(p, r)[0].left).own is None
+    real = cutelim._Frame.__init__
+
+    def forgetful(self, node, k, above):
+        real(self, node, k, above)
+        self.own = None
+
+    monkeypatch.setattr(cutelim._Frame, "__init__", forgetful)
+    with pytest.raises(MachineError, match="tracked weight .* redex counts"):
+        step(p, r)
+
+
 # ---------------------------------------------------------------------------
 # the random strategy against the loop it ran on before the zipper:
 # find_redexes, a seeded choice, then step

@@ -86,6 +86,16 @@ def _args_into(node: Proof, k: int, remap) -> tuple[int, int]:
     return i, j
 
 
+def _lands(node: Proof, where) -> Perm:
+    """Where each occurrence of `node`'s conclusion lands: one from position q of
+    premise c at `where(c, q)`, found with `premise_source`; a principal one stays."""
+    out = []
+    for t in range(1, len(node.conclusion) + 1):
+        src = premise_source(node, t)
+        out.append(t if src is None else where(*src))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Redex:
     kind: str
@@ -121,13 +131,8 @@ def _axiom_elim_perm(node: CutRule, side: str) -> Perm:
     The surviving premise's occurrences keep their positions in it; the
     axiom's other occurrence takes the place of the survivor's cut formula.
     """
-    keep = 0 if side == "right" else 1
-    cut_pos = node.i if keep == 0 else node.j
-    perm = []
-    for t in range(1, len(node.conclusion) + 1):
-        c, q = premise_source(node, t)
-        perm.append(q if c == keep else cut_pos)
-    return tuple(perm)
+    keep, cut_pos = (0, node.i) if side == "right" else (1, node.j)
+    return _lands(node, lambda c, q: q if c == keep else cut_pos)
 
 
 def _cut_redex(i: int, j: int, L: Proof, R: Proof) -> tuple | None:
@@ -327,21 +332,17 @@ def _fire_commute(node: Proof, s: int) -> tuple[Proof, Perm]:
     xkids = list(children(x))
     xkids[c] = inner
     repl = type(x)(*_args_into(x, c, lambda a: conclusion_position(inner, s, a)), *xkids)
-    total = len(node.conclusion)
-    perm = []
-    for t in range(1, total + 1):
-        side_t, q = premise_source(node, t)
+
+    def traced(side: int, q: int) -> int:
         k = c  # the reduct's child that ends up holding the occurrence
-        if side_t == s:
+        if side == s:
             src = premise_source(x, q)
-            if src is None:
-                perm.append(total)
-                continue
+            if src is None:  # x's principal formula
+                return len(repl.conclusion)
             k, q = src
-        if k == c:
-            q = conclusion_position(inner, side_t, q)
-        perm.append(conclusion_position(repl, k, q))
-    return repl, tuple(perm)
+        return conclusion_position(repl, k, conclusion_position(inner, side, q) if k == c else q)
+
+    return repl, _lands(node, traced)
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +370,8 @@ def _rebuild(node: Proof, k: int, new_child: Proof, sig: Perm) -> tuple[Proof, P
     kids = list(children(node))
     kids[k] = new_child
     repl = type(node)(*_args_into(node, k, lambda a: sig[a - 1]), *kids)
-    perm = []
-    for t in range(1, total + 1):
-        src = premise_source(node, t)
-        if src is None:  # a principal formula stays last
-            perm.append(t)
-            continue
-        c, q = src
-        perm.append(conclusion_position(repl, c, sig[q - 1] if c == k else q))
-    return repl, tuple(perm)
+    return repl, _lands(node, lambda c, q: conclusion_position(repl, c,
+                                                              sig[q - 1] if c == k else q))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ Concrete grammar (whitespace insignificant):
     F ::= ident | "~" ident | "(" F "%" F ")" | "(" F "*" F ")" | "[]" F | "<>" F
 
 `%` is par, `*` is tensor, `[]` the box modality, `<>` the diamond modality.
+A connective's class declares its symbol, its dual and the context step into each part.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from dataclasses import dataclass
 from . import tokens as tk
 from .errors import FormulaSyntaxError, QmllError, SyntaxLocationError
 
+PAR_L, PAR_R, TENS_L, TENS_R, BOX_S, DIA_S = "parL", "parR", "tensL", "tensR", "box", "dia"
+
 
 class Formula:
     """A formula, interned: building one that exists returns the existing object.
@@ -23,10 +26,14 @@ class Formula:
     connective by its children's identities and an atom by name and polarity.
     A formula is built with its De Morgan dual, each the other's `dual`, so
     the cyclic collector frees the pair. `size` counts atoms and connectives.
+
+    A connective class declares its `symbol`, its dual connective `dual_class`, and
+    `steps`: the context step kind into each of its parts, which are its `__match_args__`.
     """
 
     __slots__ = ("size", "dual", "__weakref__")
     _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+    steps: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -35,16 +42,13 @@ class Formula:
         return f"<{type(self).__name__} {print_formula(self)}>"
 
 
-def _interned(key: tuple, args: tuple, dual_cls: type, dual_args: tuple, size: int):
-    """The formula `key` names, built with its dual unless it exists."""
-    f = Formula._table.get(key)
-    if f is None:
-        dual_key = (dual_cls, *(dual_args if dual_cls is Atom else map(id, dual_args)))
-        f, d = object.__new__(key[0]), object.__new__(dual_cls)
-        Formula._table[key], Formula._table[dual_key] = f, d
-        for g, vals, other in ((f, args, d), (d, dual_args, f)):
-            for name, v in zip(g.__match_args__ + ("size", "dual"), vals + (size, other)):
-                object.__setattr__(g, name, v)
+def _build(key: tuple, args: tuple, dual_key: tuple, dual_args: tuple, size: int) -> Formula:
+    """The formula `key` names, which the table misses, built and interned with its dual."""
+    f, d = object.__new__(key[0]), object.__new__(dual_key[0])
+    Formula._table[key], Formula._table[dual_key] = f, d
+    for g, vals, other in ((f, args, d), (d, dual_args, f)):
+        for name, v in zip(g.__match_args__ + ("size", "dual"), vals + (size, other)):
+            object.__setattr__(g, name, v)
     return f
 
 
@@ -52,37 +56,56 @@ class Atom(Formula):
     __slots__ = __match_args__ = ("name", "positive")
 
     def __new__(cls, name: str, positive: bool = True):
-        return _interned((Atom, name, positive), (name, positive), Atom, (name, not positive), 1)
+        key = (Atom, name, positive)  # a formula is never falsy
+        return Formula._table.get(key) or _build(key, key[1:], (Atom, name, not positive),
+                                                 (name, not positive), 1)
 
 
-class Par(Formula):
+class _Connective(Formula):
+    __slots__ = ()
+
+    def __new__(cls, *parts: Formula):
+        """The connective over `parts`; its dual and size are built only when it is new."""
+        if len(parts) != len(cls.steps):
+            raise TypeError(f"{cls.__name__} takes {len(cls.steps)} arguments")
+        key = (cls, id(parts[0]), id(parts[-1]))  # a modality's key names its body twice
+        f = Formula._table.get(key)
+        if f is None:
+            d = tuple(p.dual for p in parts)
+            f = _build(key, parts, (cls.dual_class, id(d[0]), id(d[-1])), d,
+                       1 + sum(p.size for p in parts))
+        return f
+
+
+class Par(_Connective):
     __slots__ = __match_args__ = ("left", "right")
-
-    def __new__(cls, left: Formula, right: Formula):
-        return _interned((Par, id(left), id(right)), (left, right),
-                         Tensor, (left.dual, right.dual), 1 + left.size + right.size)
+    symbol, steps = "%", (PAR_L, PAR_R)
 
 
-class Tensor(Formula):
+class Tensor(_Connective):
     __slots__ = __match_args__ = ("left", "right")
-
-    def __new__(cls, left: Formula, right: Formula):
-        return _interned((Tensor, id(left), id(right)), (left, right),
-                         Par, (left.dual, right.dual), 1 + left.size + right.size)
+    symbol, steps, dual_class = "*", (TENS_L, TENS_R), Par
 
 
-class Box(Formula):
+class Box(_Connective):
     __slots__ = __match_args__ = ("body",)
-
-    def __new__(cls, body: Formula):
-        return _interned((Box, id(body)), (body,), Diamond, (body.dual,), 1 + body.size)
+    symbol, steps = "[]", (BOX_S,)
 
 
-class Diamond(Formula):
+class Diamond(_Connective):
     __slots__ = __match_args__ = ("body",)
+    symbol, steps, dual_class = "<>", (DIA_S,), Box
 
-    def __new__(cls, body: Formula):
-        return _interned((Diamond, id(body)), (body,), Box, (body.dual,), 1 + body.size)
+
+class _StepTable(dict):  # keyed by context step kind; refuses an unknown kind
+    def __missing__(self, kind):
+        raise QmllError(f"unknown context step kind {kind!r}")
+
+
+Par.dual_class, Box.dual_class = Tensor, Diamond
+# each context step kind: the connective it passes through and the part it enters
+STEPS: dict[str, tuple[type, int]] = _StepTable(
+    (kind, (c, part)) for c in (Par, Tensor, Box, Diamond) for part, kind in enumerate(c.steps))
 
 
 def dual(f: Formula) -> Formula:
@@ -111,11 +134,11 @@ def leading_run(f: Formula) -> tuple[str, int, Formula]:
         return "", 0, f
     while type(f) is t:
         n, f = n + 1, f.body
-    return "box" if t is Box else "dia", n, f
+    return t.steps[0], n, f
 
 
 def wrap_modal(kind: str, n: int, f: Formula) -> Formula:
-    ctor = Box if kind == "box" else Diamond
+    ctor = STEPS[kind][0]
     for _ in range(n):
         f = ctor(f)
     return f
@@ -154,9 +177,9 @@ def print_formula(f: Formula) -> str:
             out.append(item.name if item.positive else "~" + item.name)
         elif t is Par or t is Tensor:
             out.append("(")
-            stack += (")", item.right, " % " if t is Par else " * ", item.left)
+            stack += (")", item.right, f" {t.symbol} ", item.left)
         elif t is Box or t is Diamond:
-            out.append("[] " if t is Box else "<> ")
+            out.append(t.symbol + " ")
             stack.append(item.body)
         else:
             raise QmllError(f"not a formula: {item!r}")
@@ -218,10 +241,8 @@ def parse_formula(text: str) -> Formula:
 # contexts: a formula with a single hole sitting at an atom occurrence.
 #
 # Represented as the path from the formula root down to the hole. Each step
-# records the connective passed through and, for binary connectives, the
-# subformula on the other side.
-
-PAR_L, PAR_R, TENS_L, TENS_R, BOX_S, DIA_S = "parL", "parR", "tensL", "tensR", "box", "dia"
+# records its kind (see `STEPS`) and, for binary connectives, the subformula
+# on the other side.
 
 Step = tuple[str, Formula | None]
 
@@ -230,11 +251,14 @@ Step = tuple[str, Formula | None]
 class Context:
     steps: tuple[Step, ...]
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 HOLE = Context(())
+
+
+def step_into(f: Formula, part: int) -> Step:
+    """The context step from connective `f` into its part number `part`."""
+    names = f.__match_args__
+    return f.steps[part], getattr(f, names[1 - part]) if len(names) == 2 else None
 
 
 def depth(c: Context) -> int:
@@ -246,23 +270,12 @@ def subst(c: Context, filler: Formula) -> Formula:
     """Plug `filler` into the hole."""
     f = filler
     for kind, other in reversed(c.steps):
-        if kind == PAR_L:
-            f = Par(f, other)
-        elif kind == PAR_R:
-            f = Par(other, f)
-        elif kind == TENS_L:
-            f = Tensor(f, other)
-        elif kind == TENS_R:
-            f = Tensor(other, f)
-        elif kind == BOX_S:
-            f = Box(f)
-        else:
-            f = Diamond(f)
+        cls, part = STEPS[kind]
+        f = cls(f) if len(cls.steps) == 1 else cls(f, other) if part == 0 else cls(other, f)
     return f
 
 
-_DUAL_STEP = {PAR_L: TENS_L, PAR_R: TENS_R, TENS_L: PAR_L, TENS_R: PAR_R,
-              BOX_S: DIA_S, DIA_S: BOX_S}
+_DUAL_STEP = _StepTable((kind, c.dual_class.steps[part]) for kind, (c, part) in STEPS.items())
 
 
 def dual_context(c: Context) -> Context:
@@ -272,20 +285,14 @@ def dual_context(c: Context) -> Context:
 
 def hole_atom(c: Context, f: Formula) -> Atom:
     """The atom sitting at the hole, reading `f` along the context path."""
-    cur = f
     for kind, _ in c.steps:
-        match kind, cur:
-            case ("parL", Par(l, _)) | ("tensL", Tensor(l, _)):
-                cur = l
-            case ("parR", Par(_, r)) | ("tensR", Tensor(_, r)):
-                cur = r
-            case ("box", Box(b)) | ("dia", Diamond(b)):
-                cur = b
-            case _:
-                raise QmllError("context does not match formula")
-    if not isinstance(cur, Atom):
+        cls, part = STEPS[kind]
+        if type(f) is not cls:
+            raise QmllError("context does not match formula")
+        f = getattr(f, cls.__match_args__[part])
+    if not isinstance(f, Atom):
         raise QmllError("context hole is not at an atom")
-    return cur
+    return f
 
 
 def context_along(f: Formula, segments: list[str]) -> Context:
@@ -297,22 +304,14 @@ def context_along(f: Formula, segments: list[str]) -> Context:
     """
     steps: list[Step] = []
     for seg in segments:
-        match seg, f:
-            case "L", Par(l, r) | Tensor(l, r):
-                steps.append((PAR_L if isinstance(f, Par) else TENS_L, r))
-                f = l
-            case "R", Par(l, r) | Tensor(l, r):
-                steps.append((PAR_R if isinstance(f, Par) else TENS_R, l))
-                f = r
-            case "L", Box(b) | Diamond(b):
-                steps.append((BOX_S if isinstance(f, Box) else DIA_S, None))
-                f = b
-            case "L", _:
-                raise QmllError("context path descends below an atom")
-            case "R", _:
-                raise QmllError("'R' only descends binary connectives")
-            case _:
-                raise QmllError(f"bad context path segment {seg!r} (use L or R)")
+        if seg not in ("L", "R"):
+            raise QmllError(f"bad context path segment {seg!r} (use L or R)")
+        part = int(seg == "R")
+        if part >= len(f.steps):
+            raise QmllError("'R' only descends binary connectives" if part
+                            else "context path descends below an atom")
+        steps.append(step_into(f, part))
+        f = getattr(f, f.__match_args__[part])
     if not isinstance(f, Atom):
         raise QmllError("context path must end at an atom")
     return Context(tuple(steps))
@@ -324,14 +323,10 @@ def contexts_for(f: Formula) -> list[tuple[Context, bool]]:
     stack: list[tuple[Formula, tuple[Step, ...]]] = [(f, ())]
     while stack:
         g, steps = stack.pop()
-        t = type(g)
-        if t is Atom:
+        if type(g) is Atom:
             out.append((Context(steps), g.positive))
-        elif t is Par or t is Tensor:
-            left, right = (PAR_L, PAR_R) if t is Par else (TENS_L, TENS_R)
-            stack += ((g.right, steps + ((right, g.left),)), (g.left, steps + ((left, g.right),)))
-        elif t is Box or t is Diamond:
-            stack.append((g.body, steps + ((BOX_S if t is Box else DIA_S, None),)))
+        for part in reversed(range(len(g.steps))):
+            stack.append((getattr(g, g.__match_args__[part]), steps + (step_into(g, part),)))
     return out
 
 

@@ -23,12 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MachineError, PreconditionError
-from .formulas import (BOX_S, DIA_S, PAR_L, PAR_R, TENS_L, TENS_R, Context, Formula,
-                       atoms, contexts_for, depth, dual_context, hole_atom, print_context,
-                       print_formula)
+from .formulas import (BOX_S, DIA_S, Context, Formula, atoms, contexts_for, depth, dual_context,
+                       hole_atom, print_context, print_formula, step_into)
 from .matrices import StateVector, UnitaryMatrix, adjoint, apply_at, apply_gate, check_qubits
-from .proofs import (AxiomRule, CutRule, ParRule, Path, Proof, QRule, children,
-                     conclusion_position, path_str, premise_source)
+from .proofs import (AxiomRule, CutRule, Path, Proof, QRule, children, conclusion_position,
+                     path_str, premise_source)
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,7 @@ def _move(graph: OccurrenceGraph, i: int, pos: int, ctx: Context, positive: bool
         if src is not None:
             return graph.first_child[i] + src[0], src[1], ctx, False, stack, None
         # the principal formula of a par or tensor: the context picks the component
-        left, right = (PAR_L, PAR_R) if isinstance(node, ParRule) else (TENS_L, TENS_R)
+        left, right = node.conclusion[-1].steps
         name = node.keywords[0]
         if not ctx.steps:
             return f"empty context at a {name} principal formula"
@@ -203,9 +202,7 @@ def _move(graph: OccurrenceGraph, i: int, pos: int, ctx: Context, positive: bool
         k2, pos2 = (1, q.j) if k == 0 else (0, q.i)
         return graph.first_child[up] + k2, pos2, dual_context(ctx), False, stack, None
     # a component of a par or tensor: the context records its side and the other component
-    left, right = (PAR_L, PAR_R) if isinstance(q, ParRule) else (TENS_L, TENS_R)
-    principal = q.conclusion[-1]
-    entered = (left, principal.right) if k == 0 and pos == q.i else (right, principal.left)
+    entered = step_into(q.conclusion[-1], 0 if k == 0 and pos == q.i else 1)
     return up, len(q.conclusion), Context((entered,) + ctx.steps), True, stack, None
 
 
@@ -267,8 +264,8 @@ def run(graph: OccurrenceGraph, start: MachineState,
         if len(stack) != graph.nest[i]:
             raise MachineError("illegal stack length; unreachable from initial states")
         if collect_trace:
-            trace.append(_trace_line(graph, MachineState(graph.path_of(i), pos, ctx, positive,
-                                                         stack)))
+            s = MachineState(graph.path_of(i), pos, ctx, positive, stack)
+            trace.append(_trace_line(s, graph.node_by_id[i].conclusion[pos - 1]))
         res = _move(graph, i, pos, ctx, positive, stack)
         if res is None:
             register = start.register
@@ -296,8 +293,7 @@ def _apply(events: Sequence[GateEvent], a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _trace_line(graph: OccurrenceGraph, s: MachineState) -> str:
-    f = graph.formula(s.path, s.pos)
+def _trace_line(s: MachineState, f: Formula) -> str:
     pol = "P" if s.positive else "N"
     return (f"{path_str(s.path)}#{s.pos} {print_formula(f)} | {print_context(s.ctx)} "
             f"| {s.stack_str() or 'e'} | {pol}")

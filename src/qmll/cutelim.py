@@ -50,6 +50,12 @@ and closes. It fires only a node's own redex, as the node's summary names
 it, so each schema's shape is recognized in `_cut_redex` and `_summarize`
 alone.
 
+Contraction tensors the two gates as a Kronecker pair (`matrices.kron_pair`),
+which makes no dense gate. Quantum principal reduction multiplies the two
+gates with `matrices.matmul`; when one is a pair with a single non-identity
+factor, that factor is applied to the other gate, and a dense pair is made
+only otherwise. Both give the bytes of the dense operations they replace.
+
 A rebuilt node whose new premise concludes the same formulas keeps its
 conclusion; any other is built by its checking constructor (`proofs.with_child`).
 Formulas are interned in a table that holds them weakly: equal is identical,
@@ -65,7 +71,7 @@ from typing import NamedTuple
 
 from .errors import MachineError, ProofError, StaleRedexError
 from .formulas import leading_run, modal_chain, print_formula
-from .matrices import identity_gate, matmul, tensor
+from .matrices import identity_gate, kron_pair, matmul
 from .proofs import (AxiomRule, CutRule, ParRule, Path, Proof, QRule, TensorRule,
                      children, conclusion_position, path_str, premise_source, proofs_equal,
                      rule_count, with_child)
@@ -308,7 +314,7 @@ def _fire(node: Proof, redex: Redex) -> tuple[Proof, Perm]:
 
     if kind == "QContract":
         inner = node.sub
-        merged = QRule(inner.arity + node.arity, tensor(inner.gate, node.gate),
+        merged = QRule(inner.arity + node.arity, kron_pair(inner.gate, node.gate),
                        inner.sub, flip=inner.flip)
         return merged, _identity(2)
 
@@ -437,7 +443,8 @@ class _Frame:
     `own` is its own redex over the current child. `left` sums the redex
     counts of everything left of the path at this frame and above, which is
     everything before the focus in post-order. `scale` sums 3^size(cut
-    formula) over the cuts among the frames.
+    formula) over the cuts among the frames; it stays 0 until `fire` needs
+    it, see `_Zipper.scale`.
     """
 
     __slots__ = ("node", "k", "own", "left", "scale")
@@ -445,10 +452,9 @@ class _Frame:
     def __init__(self, node: Proof, k: int, above: _Frame | None):
         self.node, self.k, self.own = node, k, node.summary.own
         self.left = children(node)[0].summary.counts if k else 0
-        self.scale = 3 ** node.cut_formula.size if type(node) is CutRule else 0
+        self.scale = 0
         if above is not None:
             self.left += above.left
-            self.scale += above.scale
 
 
 class _Zipper:
@@ -466,6 +472,7 @@ class _Zipper:
         self.focus, self.frames, self.path = p, [], []
         self.weight, self.rules, self.counts = s.weight, s.rules, s.counts
         self.width = len(p.conclusion)
+        self.scaled = 0  # frames[:scaled] hold their scale
 
     def down(self, k: int) -> None:
         """Move the focus to its child k."""
@@ -478,6 +485,8 @@ class _Zipper:
         """Move the focus to its parent, which gets the focus as child k."""
         fr = self.frames.pop()
         self.path.pop()
+        if self.scaled > len(self.frames):
+            self.scaled -= 1
         node = fr.node
         if children(node)[fr.k] is not self.focus:
             node = with_child(node, fr.k, self.focus)
@@ -520,23 +529,36 @@ class _Zipper:
                 _, kind, data = self.focus.summary.own
                 return Redex(kind, tuple(self.path), data)
 
+    def scale(self) -> int:
+        """The top frame's scale, filling the frames pushed since the last call, each once."""
+        frames = self.frames
+        below = frames[self.scaled - 1].scale if self.scaled else 0
+        for fr in frames[self.scaled:]:
+            node = fr.node
+            fr.scale += below + (3 ** node.cut_formula.size if type(node) is CutRule else 0)
+            below = fr.scale
+        self.scaled = len(frames)
+        return below
+
     def fire(self, r: Redex) -> Perm:
         """Fire `r` at the focus; returns the root conclusion permutation.
 
         The permutation is pushed into the frames only until it becomes the
         identity. The root weight changes by the focus's change in weight
         plus its change in multiplicative rules times each cut ancestor's
-        3^size, which is the frames' `scale`. The root's redex counts change
-        by the focus's change in counts and by the own redex of each frame
-        rebuilt, or else of the parent, whose premise changed.
+        3^size, which is the frames' `scale`, asked for only when that change
+        is not zero. The root's redex counts change by the focus's change in
+        counts and by the own redex of each frame rebuilt, or else of the
+        parent, whose premise changed.
         """
         old = self.focus.summary
         new, sigma = _fire(self.focus, r)
         s = summary(new)
         frames = self.frames
         d = len(frames)
-        scale = frames[-1].scale if frames else 0
-        w = self.weight + s.weight - old.weight + (s.mult - old.mult) * scale
+        w = self.weight + s.weight - old.weight
+        if s.mult != old.mult:
+            w += (s.mult - old.mult) * self.scale()
         if w >= self.weight:
             raise MachineError(f"weight failed to decrease on {r}: {self.weight} -> {w}")
         self.weight, self.rules, self.focus = w, self.rules + s.rules - old.rules, new

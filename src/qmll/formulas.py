@@ -271,7 +271,12 @@ def subst(c: Context, filler: Formula) -> Formula:
     f = filler
     for kind, other in reversed(c.steps):
         cls, part = STEPS[kind]
-        f = cls(f) if len(cls.steps) == 1 else cls(f, other) if part == 0 else cls(other, f)
+        if len(cls.steps) == 1:
+            f = cls(f)
+        elif other is None:
+            raise QmllError(f"context step {kind!r} has no other side")
+        else:
+            f = cls(f, other) if part == 0 else cls(other, f)
     return f
 
 

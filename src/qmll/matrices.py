@@ -4,6 +4,15 @@ Conventions: gates act on 2^n dimensional spaces; basis index bit order is
 most-significant-first, so qubit 1 is the first Kronecker factor. Gates from
 outside are certified unitary to UNITARY_EPS in full, gates composed of them by
 an O(4^n) probe; end-to-end equalities in callers use a looser 1e-8.
+
+A Kronecker pair (`kron_pair`, which cut elimination's contraction builds)
+keeps its two factors and makes its dense form only when its `data` is first
+read: when it is printed, compared or handed to the token machine. That form
+is certified by the probe then, and kept. A product with a pair that has one
+factor other than an identity `I{n}` applies that factor to the other side
+(`apply_gate`, after Van Loan, "The ubiquitous Kronecker product", 2000) and
+forms no pair; any other product forms its pairs by `dense`, which keeps
+nothing. `tensor` forms its pair at once.
 """
 
 from __future__ import annotations
@@ -51,11 +60,17 @@ def approx_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryMatrix:
-    """A read-only 2^n by 2^n unitary; built directly, a leaf certified in full in O(8^n)."""
+    """A read-only 2^n by 2^n unitary; built directly, a leaf certified in full in O(8^n).
+
+    A Kronecker pair (`kron_pair`) holds its two `factors` and no `data` until
+    `data` is first read; then it forms, certifies and keeps it.
+    """
 
     data: np.ndarray
     dim_qubits: int = field(init=False)
     name: str | None = None
+    factors: tuple[UnitaryMatrix, UnitaryMatrix] | None = field(default=None, init=False,
+                                                                repr=False)
     _composed: InitVar[bool] = False  # set by `composed` alone
 
     def __post_init__(self, _composed: bool):
@@ -79,6 +94,23 @@ class UnitaryMatrix:
         object.__setattr__(self, "data", m)
         object.__setattr__(self, "dim_qubits", n)
 
+    def __getattr__(self, attr: str):
+        """Only a Kronecker pair lacks `data`: form it, certified, and keep it."""
+        if attr != "data" or self.factors is None:
+            raise AttributeError(attr)
+        m = self.dense()
+        object.__setattr__(self, "data", m)
+        return m
+
+    def dense(self) -> np.ndarray:
+        """`data`, except that a pair's dense form, made now and certified, is not kept: an
+        operand of a product may stay referenced after the product has consumed it."""
+        m = self.__dict__.get("data")
+        if m is None:
+            a, b = self.factors
+            m = UnitaryMatrix.composed(np.kron(a.dense(), b.dense())).data
+        return m
+
     @classmethod
     def composed(cls, data: np.ndarray, name: str | None = None) -> UnitaryMatrix:
         """A product, tensor or adjoint of certified gates, checked in O(4^n): for a fixed unit
@@ -94,13 +126,56 @@ def _probe(dim: int) -> np.ndarray:
 
 
 def matmul(a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
-    return UnitaryMatrix.composed(mat_mul(a.data, b.data))
+    """The product ab. If a Kronecker pair has at most one factor that is not an identity
+    `I{n}`, that factor is applied to the other side by `apply_gate` (through transposes
+    when the pair is b); otherwise both sides are formed and multiplied densely."""
+    if a.dim_qubits == b.dim_qubits:
+        if (lone := _lone_factor(a)) is not None:
+            u, offset = lone
+            return UnitaryMatrix.composed(apply_gate(u.data, b.dense(), offset))
+        if (lone := _lone_factor(b)) is not None:
+            u, offset = lone
+            at = apply_gate(u.data.T, a.dense().T, offset)
+            return UnitaryMatrix.composed(np.ascontiguousarray(at.T))
+    return UnitaryMatrix.composed(mat_mul(a.dense(), b.dense()))
+
+
+def _lone_factor(u: UnitaryMatrix) -> tuple[UnitaryMatrix, int] | None:
+    """The one leaf factor of pair u that is not an identity (its first leaf if none is), with
+    its qubit offset; None if u is no pair or has two such leaves."""
+    if u.factors is None:
+        return None
+    leaves = list(_leaves(u, 0))
+    moving = [(v, k) for v, k in leaves if v.name != f"I{v.dim_qubits}"]
+    return None if len(moving) > 1 else (moving or leaves)[0]
+
+
+def _leaves(u: UnitaryMatrix, offset: int):
+    """The leaf factors of u, left to right, each with its qubit offset."""
+    if u.factors is None:
+        yield u, offset
+    else:
+        a, b = u.factors
+        yield from _leaves(a, offset)
+        yield from _leaves(b, offset + a.dim_qubits)
+
+
+def kron_pair(a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
+    """The Kronecker product a (x) b as a pair of factors; its dense form is made when
+    `data` is first read. The first factor takes the lower-numbered qubits."""
+    check_qubits(a.dim_qubits + b.dim_qubits)
+    u = object.__new__(UnitaryMatrix)
+    object.__setattr__(u, "dim_qubits", a.dim_qubits + b.dim_qubits)
+    object.__setattr__(u, "factors", (a, b))
+    return u
 
 
 def tensor(a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
-    """Kronecker product; the first factor takes the lower-numbered qubits."""
-    check_qubits(a.dim_qubits + b.dim_qubits)
-    return UnitaryMatrix.composed(np.kron(a.data, b.data))
+    """Kronecker product, formed and certified now; the first factor takes the lower-numbered
+    qubits."""
+    u = kron_pair(a, b)
+    u.data
+    return u
 
 
 def adjoint(u: UnitaryMatrix) -> UnitaryMatrix:

@@ -3,8 +3,9 @@
 A leaf (a direct `UnitaryMatrix`, a `(mat …)` literal, a circuit-JSON
 matrix, a named gate) must pass ||U^†U - I||_F <= UNITARY_EPS. A gate built
 by `matmul`, `tensor`, `adjoint`, `identity_gate`, `embed_gate` or
-`semantics_relative` goes through `UnitaryMatrix.composed`, which checks
-||U^†(Ux) - x|| <= UNITARY_EPS for a fixed unit x.
+`semantics_relative`, and a Kronecker pair's dense form when it is first read,
+goes through `UnitaryMatrix.composed`, which checks ||U^†(Ux) - x|| <=
+UNITARY_EPS for a fixed unit x.
 """
 
 import json
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from qmll import (DimensionError, UnitaryMatrix, circuit_from_json, embed_gate, encode,
-                  gate_by_name, matmul, negative_entries, normalize, semantics_relative, tensor)
+                  gate_by_name, matmul, negative_entries, normalize, parse_proof, print_proof,
+                  semantics_relative, tensor)
 from qmll import matrices, qiam
 from qmll.cli import main
 from qmll.matrices import _probe, f17
@@ -114,6 +116,16 @@ def test_a_corrupted_tensor_is_refused(monkeypatch):
     monkeypatch.setattr(np, "kron", lambda x, y: corrupt(real(x, y)))
     with pytest.raises(DimensionError, match="not unitary"):
         tensor(gate_by_name("H"), gate_by_name("CNOT"))
+
+
+def test_a_corrupted_lazy_tensor_is_refused_when_formed(monkeypatch):
+    p = parse_proof("(q 1 T (q 1 H (ax a)))")
+    print_proof(normalize(p).final)
+    real = np.kron
+    monkeypatch.setattr(np, "kron", lambda x, y: corrupt(real(x, y)))
+    nf = normalize(p).final  # contraction keeps the factors: no Kronecker product yet
+    with pytest.raises(DimensionError, match="not unitary"):
+        print_proof(nf)
 
 
 def test_a_corrupted_embedding_is_refused(monkeypatch):

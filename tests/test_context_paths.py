@@ -175,6 +175,17 @@ def test_an_unknown_step_kind_is_refused_alike():
             use(bogus)
 
 
+@pytest.mark.parametrize("kind", [PAR_L, PAR_R, TENS_L, TENS_R])
+def test_a_binary_step_with_no_other_side_is_refused(kind):
+    lone = Context(((kind, None),))
+    for use in (lambda c: subst(c, Atom("a")), print_context):
+        with pytest.raises(QmllError, match=f"^context step '{kind}' has no other side$"):
+            use(lone)
+    inner = Context(((BOX_S, None), (kind, None), (DIA_S, None)))
+    with pytest.raises(QmllError, match="no other side"):
+        print_context(inner)
+
+
 def test_connectives_keep_their_arity():
     a = Atom("a")
     for bad in (lambda: Par(a), lambda: Tensor(a, a, a), lambda: Box(), lambda: Diamond(a, a)):

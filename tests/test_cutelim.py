@@ -718,6 +718,21 @@ def test_tracked_redex_counts_that_drift_are_caught(monkeypatch):
         step(p, r)
 
 
+def test_scales_filled_on_one_path_are_not_read_on_another():
+    # a multiplicative principal redex in each premise of the root cut: the
+    # second is reached after the focus leaves the first's path up to the root,
+    # so the frames whose scale the first step filled are gone
+    mult = "(cut 1 3 (par 2 1 (ax {0})) (tensor 2 2 (ax {1}) (ax {0})))"
+    p = parse_proof(f"(cut 2 2 {mult.format('a', '~a')} {mult.format('~a', 'a')})")
+    trace = normalize(p)
+    assert [s.redex.kind for s in trace.steps].count("MultPrincipal") == 2
+    cur = p
+    for s in trace.steps:
+        assert s.weight_before == weight(cur)
+        cur = step(cur, s.redex)[0]
+    assert trace.final_weight == weight(cur) == 1
+
+
 # ---------------------------------------------------------------------------
 # the random strategy against the loop it ran on before the zipper:
 # find_redexes, a seeded choice, then step

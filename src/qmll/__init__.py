@@ -14,13 +14,13 @@ from .errors import (CheckFailure, DimensionError, FormulaSyntaxError, MachineEr
                      StaleRedexError)
 from .formulas import (Atom, Box, Context, Diamond, Formula, Par, Tensor, contexts_for,
                        depth, dual, parse_formula, print_formula, subst)
-from .matrices import (StateVector, UnitaryMatrix, adjoint, apply_at, apply_gate, approx_equal,
+from .matrices import (StateVector, UnitaryMatrix, adjoint, apply_gate, approx_equal,
                        basis_state, gate_by_name, identity_gate, matmul, tensor, zero_state)
 from .proofs import (AxiomRule, CheckReport, CutRule, ParRule, Proof, QRule, TensorRule,
                      check, mll_axiom_link_matrix, parse_proof, principal_formulas,
                      print_proof, proofs_equal)
 from .qiam import (GateEvent, MachineState, OccurrenceGraph, SemanticsResult,
                    extract_gate_sequence, initial_state, negative_entries, run,
-                   semantics_relative, step_machine)
+                   semantics_relative)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -237,15 +237,6 @@ def apply_gate(u: np.ndarray, a: np.ndarray, offset: int) -> np.ndarray:
     return np.matmul(u, a.reshape(2**offset, u.shape[0], -1)).reshape(a.shape)
 
 
-def apply_at(u: UnitaryMatrix, register: StateVector, offset: int) -> StateVector:
-    """Embed u as I_offset (x) u (x) I_rest and apply, without materializing it."""
-    k, n = u.dim_qubits, register.n_qubits
-    if offset < 0 or offset + k > n:
-        raise PreconditionError(
-            f"gate on {k} qubits at offset {offset} does not fit in {n} qubits")
-    return StateVector(n, apply_gate(u.data, register.amplitudes, offset))
-
-
 # ---------------------------------------------------------------------------
 # named gate library
 

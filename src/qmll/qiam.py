@@ -18,14 +18,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import MachineError, PreconditionError
 from .formulas import (BOX_S, DIA_S, Context, Formula, atoms, contexts_for, depth, dual_context,
                        hole_atom, print_context, print_formula, step_into)
-from .matrices import StateVector, UnitaryMatrix, adjoint, apply_at, apply_gate, check_qubits
+from .matrices import StateVector, UnitaryMatrix, adjoint, apply_gate, check_qubits
 from .proofs import (AxiomRule, CutRule, Path, Proof, QRule, children, conclusion_position,
                      path_str, premise_source)
 
@@ -42,6 +41,8 @@ class GateEvent:
 
 @dataclass(frozen=True)
 class MachineState:
+    """A token position as `run` takes and returns it: its node is named by a path."""
+
     path: Path
     pos: int
     ctx: Context
@@ -53,30 +54,14 @@ class MachineState:
         return "".join("<>" if s == "d" else "[]" for s in self.stack)
 
 
-@dataclass(frozen=True)
-class Next:
-    state: MachineState
-    event: GateEvent | None = None
-
-
-@dataclass(frozen=True)
-class Final:
-    state: MachineState
-
-
-@dataclass(frozen=True)
-class Stuck:
-    state: MachineState
-    reason: str
-
-
 class OccurrenceGraph:
     """Immutable routing data for a checked proof, compiled into flat tables.
 
     Nodes are numbered breadth first from the root, 0, so siblings have consecutive
     ids. Per id the tables hold the node, its parent, its first child and its
     nesting: the modal symbols pushed by the enclosing boxes, one per arity unit.
-    The machine walks ids; a path is built only where a caller asks for one.
+    `run` walks ids; it converts a path only at its start, its final state and each
+    traced state.
     """
 
     def __init__(self, proof: Proof):
@@ -112,26 +97,13 @@ class OccurrenceGraph:
         return tuple(reversed(out))
 
     def node_id(self, path: Path) -> int:
+        """The id of the node at `path`; a path that leaves the proof is refused."""
         i = 0
         for k in path:
             if not 0 <= k < len(children(self.node_by_id[i])):
-                raise KeyError(path)
+                raise PreconditionError(f"no node at path {path_str(path)}")
             i = self.first_child[i] + k
         return i
-
-    @cached_property
-    def nodes(self) -> dict[Path, Proof]:
-        return {self.path_of(i): node for i, node in enumerate(self.node_by_id)}
-
-    @cached_property
-    def nesting(self) -> dict[Path, int]:
-        return {self.path_of(i): nest for i, nest in enumerate(self.nest)}
-
-    def node(self, path: Path) -> Proof:
-        return self.node_by_id[self.node_id(path)]
-
-    def formula(self, path: Path, pos: int) -> Formula:
-        return self.node(path).conclusion[pos - 1]
 
     def legal_state_bound(self) -> int:
         """Σ over conclusion occurrences of atom count · 2^nesting, which bounds a run's steps."""
@@ -206,20 +178,6 @@ def _move(graph: OccurrenceGraph, i: int, pos: int, ctx: Context, positive: bool
     return up, len(q.conclusion), Context((entered,) + ctx.steps), True, stack, None
 
 
-def step_machine(graph: OccurrenceGraph, s: MachineState) -> Next | Final | Stuck:
-    """One move of the token (see `_move`) between states that carry their path."""
-    res = _move(graph, graph.node_id(s.path), s.pos, s.ctx, s.positive, s.stack)
-    if res is None:
-        return Final(s)
-    if isinstance(res, str):
-        return Stuck(s, res)
-    i, pos, ctx, positive, stack, event = res
-    register = s.register
-    if event is not None and register is not None:
-        register = apply_at(event.applied(), register, event.offset)
-    return Next(MachineState(graph.path_of(i), pos, ctx, positive, stack, register), event)
-
-
 @dataclass(frozen=True)
 class RunResult:
     final: MachineState
@@ -251,12 +209,14 @@ def initial_state(graph: OccurrenceGraph, entry_pos: int, ctx: Context,
 
 def run(graph: OccurrenceGraph, start: MachineState,
         collect_trace: bool = False) -> RunResult:
-    """Move the token from `start` until it is final, on node ids: a path is built
-    for the final state, and for each traced state. Routing never reads the register;
-    the gate events are applied to it once the run is final."""
+    """Move the token from `start` until it is final, on node ids; a path is built for
+    the final state and each traced state. A start naming no occurrence is refused.
+    Routing never reads the register; its gate events are applied once the run is final."""
     bound = graph.legal_state_bound() + 2
     i, pos, ctx, positive, stack = (graph.node_id(start.path), start.pos, start.ctx,
                                     start.positive, start.stack)
+    if not 1 <= pos <= len(graph.node_by_id[i].conclusion):
+        raise PreconditionError(f"no position {pos} at path {path_str(start.path)}")
     events: list[GateEvent] = []
     trace: list[str] = []
     steps = 0

@@ -10,8 +10,9 @@ from qmll import (AxiomRule, MachineError, PreconditionError, QRule, StateVector
 from qmll.cutelim import compose_perms, find_redexes, step
 from qmll.formulas import BOX_S, HOLE, PAR_L, TENS_L, Atom, Context, depth, print_context
 from qmll.matrices import approx_equal, gate_by_name
-from qmll.qiam import (MachineState, OccurrenceGraph, Stuck, extract_gate_sequence,
-                       initial_state, negative_entries, run, semantics_relative, step_machine)
+from qmll.proofs import iter_nodes
+from qmll.qiam import (MachineState, OccurrenceGraph, _move, extract_gate_sequence,
+                       initial_state, negative_entries, run, semantics_relative)
 
 from gen import random_circuit, random_corpus
 
@@ -158,25 +159,24 @@ def test_totality_all_entries():
 
 
 def test_step_machine_deterministic_and_injective():
-    from qmll.qiam import Next
+    """The machine's moves on node ids are reversible: no two states share a successor."""
     seen: dict = {}
     graphs = []  # keep alive so id() keys stay unique
     for p in random_corpus(53, 50):
         graph = OccurrenceGraph(p)
         graphs.append(graph)
         for k, ctx in negative_entries(p):
-            cur = initial_state(graph, k, ctx)
+            start = initial_state(graph, k, ctx)
+            cur = (graph.node_id(start.path), start.pos, start.ctx, start.positive, start.stack)
             while True:
-                res = step_machine(graph, cur)
-                if not isinstance(res, Next):
+                res = _move(graph, *cur)
+                if res is None or isinstance(res, str):
                     break
-                key = (id(graph), res.state.path, res.state.pos, res.state.ctx,
-                       res.state.positive, res.state.stack)
-                src = (cur.path, cur.pos, cur.ctx, cur.positive, cur.stack)
+                key = (id(graph),) + res[:5]
                 if key in seen:
-                    assert seen[key] == src, "two states map to the same successor"
-                seen[key] = src
-                cur = res.state
+                    assert seen[key] == cur, "two states map to the same successor"
+                seen[key] = cur
+                cur = res[:5]
 
 
 def test_uniformity_register_independent_routing():
@@ -259,8 +259,20 @@ def test_illegal_stack_never_reached_but_guarded():
         run(graph, bad)
 
 
+@pytest.mark.parametrize("start, traced, message", [
+    (MachineState((5,), 1, HOLE, False, ()), False, "no node at path 5$"),
+    (MachineState((), 7, HOLE, False, ()), False, "no position 7 at path root$"),
+    (MachineState((), 7, HOLE, False, ()), True, "no position 7 at path root$"),
+    (MachineState((), 0, HOLE, False, ()), True, "no position 0 at path root$"),
+])
+def test_run_refuses_a_start_that_names_no_occurrence(start, traced, message):
+    graph = OccurrenceGraph(parse_proof("(par 1 2 (ax a))"))
+    with pytest.raises(PreconditionError, match=message):
+        run(graph, start, collect_trace=traced)
+
+
 # ---------------------------------------------------------------------------
-# every way step_machine can get stuck, on hand-built states
+# every way the machine can get stuck, on hand-built states
 
 A = Atom("a")
 STUCK_CASES = {
@@ -285,10 +297,9 @@ STUCK_CASES = {
 
 @pytest.mark.parametrize("reason", sorted(STUCK_CASES))
 def test_step_machine_stuck_reasons(reason):
-    text, state = STUCK_CASES[reason]
-    res = step_machine(OccurrenceGraph(parse_proof(text)), state)
-    assert isinstance(res, Stuck)
-    assert (res.reason, res.state) == (reason, state)
+    text, s = STUCK_CASES[reason]
+    graph = OccurrenceGraph(parse_proof(text))
+    assert _move(graph, graph.node_id(s.path), s.pos, s.ctx, s.positive, s.stack) == reason
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +383,18 @@ def test_run_matches_the_tensordot_path():
 # OccurrenceGraph nesting against the sum over ancestors it replaced
 
 def ref_nesting(graph):
-    return {path: sum(node.arity for node in (graph.nodes[path[:k]] for k in range(len(path)))
-                      if isinstance(node, QRule))
-            for path in graph.nodes}
+    """Per node id, the arities summed over the quantum rules on the node's path."""
+    nodes = dict(iter_nodes(graph.proof))
+    paths = map(graph.path_of, range(len(graph.node_by_id)))
+    return [sum(node.arity for node in (nodes[path[:k]] for k in range(len(path)))
+                if isinstance(node, QRule))
+            for path in paths]
 
 
 def test_nesting_equals_the_sum_over_ancestors():
     for p in random_corpus(20260811, 1000) + golden_proofs():
         graph = OccurrenceGraph(p)
-        assert graph.nesting == ref_nesting(graph)
+        assert graph.nest == ref_nesting(graph)
 
 
 def test_nesting_on_a_deep_chain():
@@ -388,5 +402,5 @@ def test_nesting_on_a_deep_chain():
     for depth_now in range(800):
         p = QRule(1 + depth_now % 2, identity_gate(1 + depth_now % 2), p)
     graph = OccurrenceGraph(p)
-    assert graph.nesting == ref_nesting(graph)
-    assert graph.nesting[(0,) * 800] == 1200
+    assert graph.nest == ref_nesting(graph)
+    assert graph.nest[graph.node_id((0,) * 800)] == 1200

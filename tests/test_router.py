@@ -3,7 +3,9 @@
 The reference below is the machine as it was before routing was compiled
 to node ids: a state carried its path, every step looked its node and
 nesting up by that path, and the legal-state bound was summed over a
-path-keyed walk. The router must agree with it move for move.
+path-keyed walk. The router must agree with it move for move. Like `_move`, a
+reference step gives None when the state is final, the reason when it is stuck,
+or the next state with its gate event.
 """
 
 import random
@@ -11,14 +13,14 @@ from dataclasses import replace
 
 import pytest
 
-from qmll import MachineError, parse_proof
+from qmll import MachineError, PreconditionError, parse_proof
 from qmll.formulas import (BOX_S, DIA_S, PAR_L, PAR_R, TENS_L, TENS_R, Atom, Context, atoms,
                            depth, dual_context, print_context, print_formula)
-from qmll.matrices import apply_at, identity_gate, zero_state
+from qmll.matrices import StateVector, apply_gate, identity_gate, zero_state
 from qmll.proofs import (AxiomRule, CutRule, ParRule, QRule, conclusion_position, iter_nodes,
                          path_str, premise_source)
-from qmll.qiam import (Final, GateEvent, MachineState, Next, OccurrenceGraph, RunResult, Stuck,
-                       initial_state, negative_entries, run, step_machine)
+from qmll.qiam import (GateEvent, MachineState, OccurrenceGraph, RunResult, initial_state,
+                       negative_entries, run)
 
 from gen import random_corpus
 from test_qiam import entry_of, golden_proofs, rand_register
@@ -61,40 +63,38 @@ def ref_pop_uniform(stack, m):
 
 def ref_step(graph, s):
     if s.positive and s.path == ():
-        if not s.stack:
-            return Final(s)
-        return Stuck(s, "positive at the conclusion with a nonempty stack")
+        return "positive at the conclusion with a nonempty stack" if s.stack else None
 
     if not s.positive:
         node = graph.node(s.path)
         if isinstance(node, AxiomRule):
             other = 2 if s.pos == 1 else 1
-            return Next(replace(s, pos=other, ctx=dual_context(s.ctx), positive=True))
+            return replace(s, pos=other, ctx=dual_context(s.ctx), positive=True), None
         if isinstance(node, QRule):
             m = node.arity
             want = DIA_S if s.pos == 1 else BOX_S
             head = s.ctx.steps[:m]
             if len(head) < m or any(k != want for k, _ in head):
-                return Stuck(s, "context does not carry the modal prefix of the formula")
+                return "context does not carry the modal prefix of the formula"
             sym = "d" if s.pos == 1 else "b"
             prem = node.diamond_source if s.pos == 1 else node.box_source
-            return Next(replace(s, path=s.path + (0,), pos=prem,
-                                ctx=Context(s.ctx.steps[m:]), stack=s.stack + (sym,) * m))
+            return replace(s, path=s.path + (0,), pos=prem,
+                           ctx=Context(s.ctx.steps[m:]), stack=s.stack + (sym,) * m), None
         src = premise_source(node, s.pos)
         if src is not None:
-            return Next(replace(s, path=s.path + (src[0],), pos=src[1]))
+            return replace(s, path=s.path + (src[0],), pos=src[1]), None
         name, left, right = (("par", PAR_L, PAR_R) if isinstance(node, ParRule)
                              else ("tensor", TENS_L, TENS_R))
         if not s.ctx.steps:
-            return Stuck(s, f"empty context at a {name} principal formula")
+            return f"empty context at a {name} principal formula"
         kind, _ = s.ctx.steps[0]
         inner = Context(s.ctx.steps[1:])
         if kind == left:
-            return Next(replace(s, path=s.path + (0,), pos=node.i, ctx=inner))
+            return replace(s, path=s.path + (0,), pos=node.i, ctx=inner), None
         if kind == right:
             k = 0 if name == "par" else 1
-            return Next(replace(s, path=s.path + (k,), pos=node.j, ctx=inner))
-        return Stuck(s, f"context does not enter the {name} formula")
+            return replace(s, path=s.path + (k,), pos=node.j, ctx=inner), None
+        return f"context does not enter the {name} formula"
 
     parent_path, k = s.path[:-1], s.path[-1]
     q = graph.node(parent_path)
@@ -102,7 +102,7 @@ def ref_step(graph, s):
         m = q.arity
         sym, rest = ref_pop_uniform(s.stack, m)
         if sym is None:
-            return Stuck(s, "stack does not carry a uniform block for the box exit")
+            return "stack does not carry a uniform block for the box exit"
         offset = depth(s.ctx)
         event = None
         if s.pos == q.diamond_source:
@@ -116,22 +116,24 @@ def ref_step(graph, s):
                 event = GateEvent(q.gate, offset, forward=True)
             nxt = replace(s, path=parent_path, pos=2, ctx=ctx, stack=rest)
         else:
-            return Stuck(s, "box exit from an unknown premise position")
+            return "box exit from an unknown premise position"
         if event is not None and nxt.register is not None:
-            nxt = replace(nxt, register=apply_at(event.applied(), nxt.register, event.offset))
-        return Next(nxt, event)
+            reg = nxt.register
+            amps = apply_gate(event.applied().data, reg.amplitudes, event.offset)
+            nxt = replace(nxt, register=StateVector(reg.n_qubits, amps))
+        return nxt, event
     pos = conclusion_position(q, k, s.pos)
     if pos is not None:
-        return Next(replace(s, path=parent_path, pos=pos))
+        return replace(s, path=parent_path, pos=pos), None
     if isinstance(q, CutRule):
         k2, pos2 = (1, q.j) if k == 0 else (0, q.i)
-        return Next(replace(s, path=parent_path + (k2,), pos=pos2,
-                            ctx=dual_context(s.ctx), positive=False))
+        return replace(s, path=parent_path + (k2,), pos=pos2,
+                       ctx=dual_context(s.ctx), positive=False), None
     left, right = (PAR_L, PAR_R) if isinstance(q, ParRule) else (TENS_L, TENS_R)
     principal = q.conclusion[-1]
     entered = (left, principal.right) if k == 0 and s.pos == q.i else (right, principal.left)
-    return Next(replace(s, path=parent_path, pos=len(q.conclusion),
-                        ctx=Context((entered,) + s.ctx.steps)))
+    return replace(s, path=parent_path, pos=len(q.conclusion),
+                   ctx=Context((entered,) + s.ctx.steps)), None
 
 
 def ref_trace_line(graph, s):
@@ -153,17 +155,16 @@ def ref_run(graph, start, collect_trace=False):
         if collect_trace:
             trace.append(ref_trace_line(graph, cur))
         res = ref_step(graph, cur)
-        if isinstance(res, Final):
+        if res is None:
             return RunResult(cur, tuple(events), steps, tuple(trace))
-        if isinstance(res, Stuck):
-            raise MachineError(f"machine stuck: {res.reason}")
-        if res.event is not None:
-            events.append(res.event)
+        if isinstance(res, str):
+            raise MachineError(f"machine stuck: {res}")
+        cur, ev = res
+        if ev is not None:
+            events.append(ev)
             if collect_trace:
-                ev = res.event
                 arrow = "" if ev.forward else " (adjoint)"
                 trace.append(f"  apply {ev.gate.name or 'gate'}{arrow} at offset {ev.offset}")
-        cur = res.state
         steps += 1
         if steps > bound:
             raise MachineError("run exceeded the legal-state bound")
@@ -207,24 +208,6 @@ def test_run_matches_the_path_based_run():
     assert runs > 2000
 
 
-def test_step_machine_matches_the_path_based_step():
-    rng = random.Random(14)
-    for p in random_corpus(20260811, 200) + golden_proofs():
-        graph, ref = OccurrenceGraph(p), RefGraph(p)
-        for k, ctx in negative_entries(p):
-            cur = initial_state(graph, k, ctx, rand_register(rng, depth(ctx)))
-            while True:
-                got, want = step_machine(graph, cur), ref_step(ref, cur)
-                assert type(got) is type(want)
-                if not isinstance(got, Next):
-                    assert got == want
-                    break
-                assert same_events([got.event] if got.event else [],
-                                   [want.event] if want.event else [])
-                assert same_state(got.state, want.state)
-                cur = got.state
-
-
 def test_legal_state_bound_equals_the_path_keyed_sum():
     chain = AxiomRule(Atom("a"))
     for d in range(600):
@@ -253,14 +236,15 @@ def test_a_run_without_a_trace_converts_only_its_ends(monkeypatch):
 def test_paths_and_node_ids_round_trip():
     for p in random_corpus(20260811, 200) + golden_proofs():
         graph = OccurrenceGraph(p)
-        assert graph.nodes == dict(iter_nodes(p))
-        assert graph.nesting == RefGraph(p).nesting
-        for i in range(len(graph.node_by_id)):
-            assert graph.node_id(graph.path_of(i)) == i
+        paths = [graph.path_of(i) for i in range(len(graph.node_by_id))]
+        assert dict(zip(paths, graph.node_by_id)) == dict(iter_nodes(p))
+        assert dict(zip(paths, graph.nest)) == RefGraph(p).nesting
+        for i, path in enumerate(paths):
+            assert graph.node_id(path) == i
     graph = OccurrenceGraph(parse_proof("(cut 2 1 (q 1 H (ax a)) (q 1 H (ax a)))"))
     for path in [(0, 1), (2,), (0, 0, 0), (-1,)]:
-        with pytest.raises(KeyError):
-            graph.node(path)
+        with pytest.raises(PreconditionError, match=f"no node at path {path_str(path)}$"):
+            graph.node_id(path)
 
 
 def test_every_step_checks_the_stack_length_and_the_bound(monkeypatch):

@@ -20,7 +20,7 @@ from qmll.cutelim import (Redex, _identity, _rebuild, canonical_form, find_redex
 from qmll.errors import MachineError, StaleRedexError
 from qmll.formulas import (BOX_S, PAR_L, PAR_R, TENS_L, TENS_R, Atom, contexts_for, depth,
                            dual, print_context, print_formula)
-from qmll.matrices import apply_at
+from qmll.matrices import StateVector, apply_gate
 from qmll.proofs import (AxiomRule, CutRule, ParRule, QRule, TensorRule, children, iter_nodes,
                          mll_axiom_link_matrix, path_str, print_proof)
 from qmll.qiam import (MachineState, OccurrenceGraph, RunResult, _move, initial_state,
@@ -110,8 +110,7 @@ def ref_print_context(c):
     return render(0)
 
 
-def ref_trace_line(graph, s):
-    f = graph.formula(s.path, s.pos)
+def ref_trace_line(s, f):
     pol = "P" if s.positive else "N"
     return (f"{path_str(s.path)}#{s.pos} {print_formula(f)} | {ref_print_context(s.ctx)} "
             f"| {s.stack_str() or 'e'} | {pol}")
@@ -126,8 +125,8 @@ def ref_run(graph, start, collect_trace=False):
         if len(stack) != graph.nest[i]:
             raise MachineError("illegal stack length; unreachable from initial states")
         if collect_trace:
-            trace.append(ref_trace_line(graph, MachineState(graph.path_of(i), pos, ctx,
-                                                            positive, stack)))
+            s = MachineState(graph.path_of(i), pos, ctx, positive, stack)
+            trace.append(ref_trace_line(s, graph.node_by_id[i].conclusion[pos - 1]))
         res = _move(graph, i, pos, ctx, positive, stack)
         if res is None:
             final = MachineState(graph.path_of(i), pos, ctx, positive, stack, register)
@@ -138,7 +137,8 @@ def ref_run(graph, start, collect_trace=False):
         if event is not None:
             events.append(event)
             if register is not None:
-                register = apply_at(event.applied(), register, event.offset)
+                amps = apply_gate(event.applied().data, register.amplitudes, event.offset)
+                register = StateVector(register.n_qubits, amps)
             if collect_trace:
                 arrow = "" if event.forward else " (adjoint)"
                 trace.append(f"  apply {event.gate.name or 'gate'}{arrow} at offset {event.offset}")

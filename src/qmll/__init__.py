@@ -13,7 +13,7 @@ from .errors import (CheckFailure, DimensionError, FormulaSyntaxError, MachineEr
                      PreconditionError, ProofError, ProofSyntaxError, QmllError,
                      StaleRedexError)
 from .formulas import (Atom, Box, Context, Diamond, Formula, Par, Tensor, contexts_for,
-                       depth, dual, parse_formula, print_formula, subst)
+                       depth, dual, parse_formula, print_formula)
 from .matrices import (StateVector, UnitaryMatrix, adjoint, apply_gate, approx_equal,
                        basis_state, gate_by_name, identity_gate, matmul, tensor, zero_state)
 from .proofs import (AxiomRule, CheckReport, CutRule, ParRule, Proof, QRule, TensorRule,

@@ -240,57 +240,34 @@ def parse_formula(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # contexts: a formula with a single hole sitting at an atom occurrence.
 #
-# Represented as the path from the formula root down to the hole. Each step
-# records its kind (see `STEPS`) and, for binary connectives, the subformula
-# on the other side.
-
-Step = tuple[str, Formula | None]
+# Represented as the path from the root of the formula it belongs to down to
+# the hole: the kind of each step (see `STEPS`). That formula holds the rest.
 
 
 @dataclass(frozen=True)
 class Context:
-    steps: tuple[Step, ...]
+    steps: tuple[str, ...]
 
 
 HOLE = Context(())
 
 
-def step_into(f: Formula, part: int) -> Step:
-    """The context step from connective `f` into its part number `part`."""
-    names = f.__match_args__
-    return f.steps[part], getattr(f, names[1 - part]) if len(names) == 2 else None
-
-
 def depth(c: Context) -> int:
     """Number of modal operators the hole is nested inside."""
-    return sum(1 for k, _ in c.steps if k in (BOX_S, DIA_S))
-
-
-def subst(c: Context, filler: Formula) -> Formula:
-    """Plug `filler` into the hole."""
-    f = filler
-    for kind, other in reversed(c.steps):
-        cls, part = STEPS[kind]
-        if len(cls.steps) == 1:
-            f = cls(f)
-        elif other is None:
-            raise QmllError(f"context step {kind!r} has no other side")
-        else:
-            f = cls(f, other) if part == 0 else cls(other, f)
-    return f
+    return sum(1 for k in c.steps if k in (BOX_S, DIA_S))
 
 
 _DUAL_STEP = _StepTable((kind, c.dual_class.steps[part]) for kind, (c, part) in STEPS.items())
 
 
 def dual_context(c: Context) -> Context:
-    return Context(tuple((_DUAL_STEP[kind], None if other is None else other.dual)
-                         for kind, other in c.steps))
+    """The context at the same place in the dual formula."""
+    return Context(tuple(_DUAL_STEP[kind] for kind in c.steps))
 
 
 def hole_atom(c: Context, f: Formula) -> Atom:
     """The atom sitting at the hole, reading `f` along the context path."""
-    for kind, _ in c.steps:
+    for kind in c.steps:
         cls, part = STEPS[kind]
         if type(f) is not cls:
             raise QmllError("context does not match formula")
@@ -307,7 +284,7 @@ def context_along(f: Formula, segments: list[str]) -> Context:
     diamond; `R` enters the right side of a par or tensor. The path must end
     at an atom.
     """
-    steps: list[Step] = []
+    steps: list[str] = []
     for seg in segments:
         if seg not in ("L", "R"):
             raise QmllError(f"bad context path segment {seg!r} (use L or R)")
@@ -315,7 +292,7 @@ def context_along(f: Formula, segments: list[str]) -> Context:
         if part >= len(f.steps):
             raise QmllError("'R' only descends binary connectives" if part
                             else "context path descends below an atom")
-        steps.append(step_into(f, part))
+        steps.append(f.steps[part])
         f = getattr(f, f.__match_args__[part])
     if not isinstance(f, Atom):
         raise QmllError("context path must end at an atom")
@@ -325,15 +302,27 @@ def context_along(f: Formula, segments: list[str]) -> Context:
 def contexts_for(f: Formula) -> list[tuple[Context, bool]]:
     """One (context, polarity) per atom occurrence of `f`, in leaf order, on an explicit stack."""
     out: list[tuple[Context, bool]] = []
-    stack: list[tuple[Formula, tuple[Step, ...]]] = [(f, ())]
+    stack: list[tuple[Formula, tuple[str, ...]]] = [(f, ())]
     while stack:
         g, steps = stack.pop()
         if type(g) is Atom:
             out.append((Context(steps), g.positive))
         for part in reversed(range(len(g.steps))):
-            stack.append((getattr(g, g.__match_args__[part]), steps + (step_into(g, part),)))
+            stack.append((getattr(g, g.__match_args__[part]), steps + (g.steps[part],)))
     return out
 
 
-def print_context(c: Context) -> str:
-    return print_formula(subst(c, Atom("[.]")))
+def print_context(c: Context, f: Formula) -> str:
+    """`f` written with the atom at the hole of `c` as `[.]`; refused as `hole_atom` refuses."""
+    hole_atom(c, f)
+    head, tail = [], []
+    for kind in c.steps:
+        part = STEPS[kind][1]
+        if len(f.steps) == 1:
+            head.append(f.symbol + " ")
+        else:
+            other = print_formula(getattr(f, f.__match_args__[1 - part]))
+            head.append(f"({other} {f.symbol} " if part else "(")
+            tail.append(")" if part else f" {f.symbol} {other})")
+        f = getattr(f, f.__match_args__[part])
+    return "".join(head) + "[.]" + "".join(reversed(tail))

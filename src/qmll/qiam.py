@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MachineError, PreconditionError
-from .formulas import (BOX_S, DIA_S, Context, Formula, atoms, contexts_for, depth, dual_context,
-                       hole_atom, print_context, print_formula, step_into)
+from .formulas import (BOX_S, DIA_S, STEPS, Context, Formula, atoms, contexts_for, depth,
+                       dual_context, hole_atom, print_context, print_formula)
 from .matrices import StateVector, UnitaryMatrix, adjoint, apply_gate, check_qubits
 from .proofs import (AxiomRule, CutRule, Path, Proof, QRule, children, conclusion_position,
                      path_str, premise_source)
@@ -47,11 +47,11 @@ class MachineState:
     pos: int
     ctx: Context
     positive: bool
-    stack: tuple[str, ...]  # 'd' / 'b', rightmost is the top
+    stack: tuple[str, ...]  # step kinds BOX_S / DIA_S, rightmost is the top
     register: StateVector | None = None
 
     def stack_str(self) -> str:
-        return "".join("<>" if s == "d" else "[]" for s in self.stack)
+        return "".join(STEPS[s][0].symbol for s in self.stack)
 
 
 class OccurrenceGraph:
@@ -126,14 +126,11 @@ def _move(graph: OccurrenceGraph, i: int, pos: int, ctx: Context, positive: bool
             return i, 2 if pos == 1 else 1, dual_context(ctx), True, stack, None
         if isinstance(node, QRule):  # enter the box, moving modal steps from context to stack
             m = node.arity
-            want = DIA_S if pos == 1 else BOX_S
-            head = ctx.steps[:m]
-            if len(head) < m or any(k != want for k, _ in head):
+            want = (DIA_S if pos == 1 else BOX_S,) * m
+            if ctx.steps[:m] != want:
                 return "context does not carry the modal prefix of the formula"
-            sym = "d" if pos == 1 else "b"
             prem = node.diamond_source if pos == 1 else node.box_source
-            return (graph.first_child[i], prem, Context(ctx.steps[m:]), False,
-                    stack + (sym,) * m, None)
+            return graph.first_child[i], prem, Context(ctx.steps[m:]), False, stack + want, None
         src = premise_source(node, pos)
         if src is not None:
             return graph.first_child[i] + src[0], src[1], ctx, False, stack, None
@@ -142,7 +139,7 @@ def _move(graph: OccurrenceGraph, i: int, pos: int, ctx: Context, positive: bool
         name = node.keywords[0]
         if not ctx.steps:
             return f"empty context at a {name} principal formula"
-        kind, _ = ctx.steps[0]
+        kind = ctx.steps[0]
         inner = Context(ctx.steps[1:])
         if kind == left:
             return graph.first_child[i], node.i, inner, False, stack, None
@@ -161,11 +158,11 @@ def _move(graph: OccurrenceGraph, i: int, pos: int, ctx: Context, positive: bool
             return "stack does not carry a uniform block for the box exit"
         sym, offset = top[0], depth(ctx)
         if pos == q.diamond_source:
-            event = GateEvent(q.gate, offset, forward=False) if sym == "b" else None
-            return up, 1, Context(((DIA_S, None),) * m + ctx.steps), True, rest, event
+            event = GateEvent(q.gate, offset, forward=False) if sym == BOX_S else None
+            return up, 1, Context((DIA_S,) * m + ctx.steps), True, rest, event
         if pos == q.box_source:
-            event = GateEvent(q.gate, offset, forward=True) if sym == "d" else None
-            return up, 2, Context(((BOX_S, None),) * m + ctx.steps), True, rest, event
+            event = GateEvent(q.gate, offset, forward=True) if sym == DIA_S else None
+            return up, 2, Context((BOX_S,) * m + ctx.steps), True, rest, event
         return "box exit from an unknown premise position"
     to = conclusion_position(q, k, pos)
     if to is not None:
@@ -173,8 +170,8 @@ def _move(graph: OccurrenceGraph, i: int, pos: int, ctx: Context, positive: bool
     if isinstance(q, CutRule):  # bounce off the cut to the dual occurrence
         k2, pos2 = (1, q.j) if k == 0 else (0, q.i)
         return graph.first_child[up] + k2, pos2, dual_context(ctx), False, stack, None
-    # a component of a par or tensor: the context records its side and the other component
-    entered = step_into(q.conclusion[-1], 0 if k == 0 and pos == q.i else 1)
+    # a component of a par or tensor: the context records the side it entered
+    entered = q.conclusion[-1].steps[0 if k == 0 and pos == q.i else 1]
     return up, len(q.conclusion), Context((entered,) + ctx.steps), True, stack, None
 
 
@@ -210,13 +207,16 @@ def initial_state(graph: OccurrenceGraph, entry_pos: int, ctx: Context,
 def run(graph: OccurrenceGraph, start: MachineState,
         collect_trace: bool = False) -> RunResult:
     """Move the token from `start` until it is final, on node ids; a path is built for
-    the final state and each traced state. A start naming no occurrence is refused.
+    the final state and each traced state. A start naming no occurrence, or whose context
+    does not fit that occurrence's formula, is refused.
     Routing never reads the register; its gate events are applied once the run is final."""
     bound = graph.legal_state_bound() + 2
     i, pos, ctx, positive, stack = (graph.node_id(start.path), start.pos, start.ctx,
                                     start.positive, start.stack)
-    if not 1 <= pos <= len(graph.node_by_id[i].conclusion):
+    concl = graph.node_by_id[i].conclusion
+    if not 1 <= pos <= len(concl):
         raise PreconditionError(f"no position {pos} at path {path_str(start.path)}")
+    hole_atom(ctx, concl[pos - 1])
     events: list[GateEvent] = []
     trace: list[str] = []
     steps = 0
@@ -255,7 +255,7 @@ def _apply(events: Sequence[GateEvent], a: np.ndarray) -> np.ndarray:
 
 def _trace_line(s: MachineState, f: Formula) -> str:
     pol = "P" if s.positive else "N"
-    return (f"{path_str(s.path)}#{s.pos} {print_formula(f)} | {print_context(s.ctx)} "
+    return (f"{path_str(s.path)}#{s.pos} {print_formula(f)} | {print_context(s.ctx, f)} "
             f"| {s.stack_str() or 'e'} | {pol}")
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qmll import FormulaSyntaxError, dual, parse_formula, print_formula, subst
+from qmll import FormulaSyntaxError, QmllError, dual, parse_formula, print_formula
 from qmll.formulas import (Atom, Box, Context, Diamond, Par, Tensor, atoms, contexts_for,
                            depth, dual_context, hole_atom, is_modal, leading_run,
                            modal_chain, print_context)
@@ -110,15 +110,14 @@ def test_contexts_reconstruct(f):
     assert len(entries) == len(leaves)
     for (ctx, pos), atom in zip(entries, leaves):
         assert pos == atom.positive
-        assert subst(ctx, atom) == f
-        assert hole_atom(ctx, f) == atom
+        assert hole_atom(ctx, f) is atom
 
 
 @given(formulas)
 def test_dual_context_matches_dual_formula(f):
     for ctx, _ in contexts_for(f):
         a = hole_atom(ctx, f)
-        assert subst(dual_context(ctx), dual(a)) == dual(f)
+        assert hole_atom(dual_context(ctx), f.dual) is a.dual
 
 
 def test_modal_helpers():
@@ -130,8 +129,17 @@ def test_modal_helpers():
 
 
 def test_print_context():
-    ctx = contexts_for(parse_formula("([] a * b)"))[0][0]
-    assert print_context(ctx) == "([] [.] * b)"
+    f = parse_formula("([] a * b)")
+    assert print_context(contexts_for(f)[0][0], f) == "([] [.] * b)"
+    # the hole is one occurrence, not every occurrence of its atom
+    f = parse_formula("(<> a % (a * a))")
+    assert [print_context(ctx, f) for ctx, _ in contexts_for(f)] == [
+        "(<> [.] % (a * a))", "(<> a % ([.] * a))", "(<> a % (a * [.]))"]
+    # a context belongs to one formula: another is refused as `hole_atom` refuses it
+    with pytest.raises(QmllError, match="^context does not match formula$"):
+        print_context(Context(("parL",)), parse_formula("(a * b)"))
+    with pytest.raises(QmllError, match="^context hole is not at an atom$"):
+        print_context(Context(("parL",)), parse_formula("([] a % b)"))
 
 
 def test_leaves_of_a_deep_formula_without_recursion():

@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmll import (AxiomRule, MachineError, PreconditionError, QRule, StateVector, basis_state,
-                  circuit_from_json, encode, identity_gate, normalize, parse_proof,
+from qmll import (AxiomRule, MachineError, PreconditionError, QmllError, QRule, StateVector,
+                  basis_state, circuit_from_json, encode, identity_gate, normalize, parse_proof,
                   semantics_relative, zero_state)
 from qmll.cutelim import compose_perms, find_redexes, step
-from qmll.formulas import BOX_S, HOLE, PAR_L, TENS_L, Atom, Context, depth, print_context
+from qmll.formulas import (BOX_S, DIA_S, HOLE, PAR_L, TENS_L, Atom, Context, depth, hole_atom,
+                           print_context)
 from qmll.matrices import approx_equal, gate_by_name
 from qmll.proofs import iter_nodes
 from qmll.qiam import (MachineState, OccurrenceGraph, _move, extract_gate_sequence,
@@ -96,7 +97,7 @@ def test_fig4_semantics_matches_oracle():
     res = semantics_relative(p, k, ctx)
     assert approx_equal(res.unitary.data, FIG4_ORACLE, 1e-8)
     assert res.exit_pos == 2
-    assert print_context(res.exit_ctx) == "[] [] [.]"
+    assert print_context(res.exit_ctx, p.conclusion[1]) == "[] [] [.]"
 
 
 def test_identity_semantics():
@@ -126,7 +127,7 @@ def test_extract_gate_sequence_examples():
 def test_entry_must_be_negative():
     p = parse_proof("(q 1 H (ax a))")
     graph = OccurrenceGraph(p)
-    pos_ctx = Context((("box", None),))  # hole at the positive atom of [] a
+    pos_ctx = Context((BOX_S,))  # hole at the positive atom of [] a
     with pytest.raises(PreconditionError):
         initial_state(graph, 2, pos_ctx)
 
@@ -271,27 +272,56 @@ def test_run_refuses_a_start_that_names_no_occurrence(start, traced, message):
         run(graph, start, collect_trace=traced)
 
 
+@pytest.mark.parametrize("traced", [False, True])
+def test_run_refuses_a_start_context_that_does_not_fit_its_formula(traced):
+    graph = OccurrenceGraph(parse_proof("(ax a)"))
+    start = MachineState((), 1, Context((PAR_L,)), False, ())
+    with pytest.raises(QmllError, match="^context does not match formula$"):
+        run(graph, start, collect_trace=traced)
+
+
+def test_every_state_fits_its_formula_with_the_hole_atom_in_its_direction():
+    """A context holds only step kinds: the formula it belongs to holds everything else.
+    Along every run from every negative entry, each state's context fits the formula of
+    its occurrence, and the atom at its hole is positive exactly when the token is."""
+    states = 0
+    for p in random_corpus(20260811, 1000) + golden_proofs():
+        graph = OccurrenceGraph(p)
+        for k, ctx in negative_entries(p):
+            start = initial_state(graph, k, ctx)
+            cur = (graph.node_id(start.path), start.pos, start.ctx, start.positive, start.stack)
+            while cur is not None:
+                i, pos, ctx, positive, stack = cur
+                assert all(type(kind) is str for kind in ctx.steps + stack)
+                atom = hole_atom(ctx, graph.node_by_id[i].conclusion[pos - 1])
+                assert atom.positive == positive
+                states += 1
+                res = _move(graph, *cur)
+                assert not isinstance(res, str), res
+                cur = None if res is None else res[:5]
+    assert states > 15000
+
+
 # ---------------------------------------------------------------------------
 # every way the machine can get stuck, on hand-built states
 
-A = Atom("a")
 STUCK_CASES = {
     "positive at the conclusion with a nonempty stack":
-        ("(ax a)", MachineState((), 2, HOLE, True, ("d",))),
+        ("(ax a)", MachineState((), 2, HOLE, True, (DIA_S,))),
     "empty context at a par principal formula":
         ("(par 1 2 (ax a))", MachineState((), 1, HOLE, False, ())),
     "context does not enter the par formula":
-        ("(par 1 2 (ax a))", MachineState((), 1, Context(((TENS_L, A),)), False, ())),
+        ("(par 1 2 (ax a))", MachineState((), 1, Context((TENS_L,)), False, ())),
     "empty context at a tensor principal formula":
         ("(tensor 1 1 (ax a) (ax b))", MachineState((), 3, HOLE, False, ())),
     "context does not enter the tensor formula":
-        ("(tensor 1 1 (ax a) (ax b))", MachineState((), 3, Context(((PAR_L, A),)), False, ())),
+        ("(tensor 1 1 (ax a) (ax b))", MachineState((), 3, Context((PAR_L,)), False, ())),
     "context does not carry the modal prefix of the formula":
-        ("(q 1 H (ax a))", MachineState((), 1, Context(((BOX_S, None),)), False, ())),
+        ("(q 1 H (ax a))", MachineState((), 1, Context((BOX_S,)), False, ())),
     "stack does not carry a uniform block for the box exit":
-        ("(q 2 CNOT (ax a))", MachineState((0,), 2, HOLE, True, ("d", "b"))),
+        ("(q 2 CNOT (ax a))", MachineState((0,), 2, HOLE, True, (DIA_S, BOX_S))),
     "box exit from an unknown premise position":
-        ("(q 1 H (ax a))", MachineState((0,), 3, HOLE, True, ("d",))),
+        ("(q 1 H (ax a))", MachineState((0,), 3, HOLE, True, (DIA_S,))),
 }
 
 

@@ -74,12 +74,11 @@ def ref_step(graph, s):
             m = node.arity
             want = DIA_S if s.pos == 1 else BOX_S
             head = s.ctx.steps[:m]
-            if len(head) < m or any(k != want for k, _ in head):
+            if len(head) < m or any(k != want for k in head):
                 return "context does not carry the modal prefix of the formula"
-            sym = "d" if s.pos == 1 else "b"
             prem = node.diamond_source if s.pos == 1 else node.box_source
             return replace(s, path=s.path + (0,), pos=prem,
-                           ctx=Context(s.ctx.steps[m:]), stack=s.stack + (sym,) * m), None
+                           ctx=Context(s.ctx.steps[m:]), stack=s.stack + (want,) * m), None
         src = premise_source(node, s.pos)
         if src is not None:
             return replace(s, path=s.path + (src[0],), pos=src[1]), None
@@ -87,7 +86,7 @@ def ref_step(graph, s):
                              else ("tensor", TENS_L, TENS_R))
         if not s.ctx.steps:
             return f"empty context at a {name} principal formula"
-        kind, _ = s.ctx.steps[0]
+        kind = s.ctx.steps[0]
         inner = Context(s.ctx.steps[1:])
         if kind == left:
             return replace(s, path=s.path + (0,), pos=node.i, ctx=inner), None
@@ -106,13 +105,13 @@ def ref_step(graph, s):
         offset = depth(s.ctx)
         event = None
         if s.pos == q.diamond_source:
-            ctx = Context(((DIA_S, None),) * m + s.ctx.steps)
-            if sym == "b":
+            ctx = Context((DIA_S,) * m + s.ctx.steps)
+            if sym == BOX_S:
                 event = GateEvent(q.gate, offset, forward=False)
             nxt = replace(s, path=parent_path, pos=1, ctx=ctx, stack=rest)
         elif s.pos == q.box_source:
-            ctx = Context(((BOX_S, None),) * m + s.ctx.steps)
-            if sym == "d":
+            ctx = Context((BOX_S,) * m + s.ctx.steps)
+            if sym == DIA_S:
                 event = GateEvent(q.gate, offset, forward=True)
             nxt = replace(s, path=parent_path, pos=2, ctx=ctx, stack=rest)
         else:
@@ -130,8 +129,7 @@ def ref_step(graph, s):
         return replace(s, path=parent_path + (k2,), pos=pos2,
                        ctx=dual_context(s.ctx), positive=False), None
     left, right = (PAR_L, PAR_R) if isinstance(q, ParRule) else (TENS_L, TENS_R)
-    principal = q.conclusion[-1]
-    entered = (left, principal.right) if k == 0 and s.pos == q.i else (right, principal.left)
+    entered = left if k == 0 and s.pos == q.i else right
     return replace(s, path=parent_path, pos=len(q.conclusion),
                    ctx=Context((entered,) + s.ctx.steps)), None
 
@@ -139,7 +137,7 @@ def ref_step(graph, s):
 def ref_trace_line(graph, s):
     f = graph.formula(s.path, s.pos)
     pol = "P" if s.positive else "N"
-    return (f"{path_str(s.path)}#{s.pos} {print_formula(f)} | {print_context(s.ctx)} "
+    return (f"{path_str(s.path)}#{s.pos} {print_formula(f)} | {print_context(s.ctx, f)} "
             f"| {s.stack_str() or 'e'} | {pol}")
 
 
@@ -250,7 +248,7 @@ def test_paths_and_node_ids_round_trip():
 def test_every_step_checks_the_stack_length_and_the_bound(monkeypatch):
     graph = OccurrenceGraph(parse_proof("(q 1 H (ax a))"))
     with pytest.raises(MachineError, match="illegal stack length"):
-        run(graph, MachineState((), 1, Context(((DIA_S, None),)), False, ("d",)))
+        run(graph, MachineState((), 1, Context((DIA_S,)), False, (DIA_S,)))
     p = golden_proofs()[0]
     graph = OccurrenceGraph(p)
     k, ctx = entry_of(p)

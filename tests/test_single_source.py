@@ -89,30 +89,29 @@ def ref_canonical_form(p):
     return done[()][0]
 
 
-def ref_print_context(c):
-    def render(i):
+def ref_print_context(c, f):
+    def render(i, g):
         if i == len(c.steps):
             return "[.]"
-        kind, other = c.steps[i]
-        inner = render(i + 1)
+        kind = c.steps[i]
         if kind == PAR_L:
-            return f"({inner} % {print_formula(other)})"
+            return f"({render(i + 1, g.left)} % {print_formula(g.right)})"
         if kind == PAR_R:
-            return f"({print_formula(other)} % {inner})"
+            return f"({print_formula(g.left)} % {render(i + 1, g.right)})"
         if kind == TENS_L:
-            return f"({inner} * {print_formula(other)})"
+            return f"({render(i + 1, g.left)} * {print_formula(g.right)})"
         if kind == TENS_R:
-            return f"({print_formula(other)} * {inner})"
+            return f"({print_formula(g.left)} * {render(i + 1, g.right)})"
         if kind == BOX_S:
-            return f"[] {inner}"
-        return f"<> {inner}"
+            return f"[] {render(i + 1, g.body)}"
+        return f"<> {render(i + 1, g.body)}"
 
-    return render(0)
+    return render(0, f)
 
 
 def ref_trace_line(s, f):
     pol = "P" if s.positive else "N"
-    return (f"{path_str(s.path)}#{s.pos} {print_formula(f)} | {ref_print_context(s.ctx)} "
+    return (f"{path_str(s.path)}#{s.pos} {print_formula(f)} | {ref_print_context(s.ctx, f)} "
             f"| {s.stack_str() or 'e'} | {pol}")
 
 
@@ -200,7 +199,7 @@ def test_print_context_matches_the_recursive_renderer():
     for p in CORPUS + golden_proofs():
         for f in p.conclusion:
             for ctx, _ in contexts_for(f):
-                assert print_context(ctx) == ref_print_context(ctx)
+                assert print_context(ctx, f) == ref_print_context(ctx, f)
                 seen += 1
     assert seen > 3000
 

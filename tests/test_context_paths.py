@@ -187,6 +187,27 @@ def test_an_unknown_step_kind_is_refused_alike():
             use(bogus)
 
 
+@pytest.mark.parametrize("kind", [PAR_L, PAR_R, TENS_L, TENS_R])
+def test_a_binary_step_with_no_other_side_is_refused(kind):
+    """A par or tensor step reads its other side from the formula, so a step that
+    lands on an atom, a box or a diamond, outermost or inside modal steps, is
+    refused before anything is printed."""
+    a = Atom("a")
+    uses = (print_context, hole_atom, lambda c, f: print_context(dual_context(c), f.dual))
+    for c, f in ((Context((kind,)), a), (Context((kind,)), Box(a)), (Context((kind,)), Diamond(a)),
+                 (Context((BOX_S, kind, DIA_S)), Box(Diamond(Diamond(a)))),
+                 (Context((BOX_S, kind, DIA_S)), Box(a))):
+        for use in uses:
+            with pytest.raises(QmllError, match="^context does not match formula$"):
+                use(c, f)
+    # the same path fits once the step meets its own connective, with its other side
+    other = Par if kind in (PAR_L, PAR_R) else Tensor
+    fit = Box(other(Diamond(a), Atom("b")) if kind in (PAR_L, TENS_L)
+              else other(Atom("b"), Diamond(a)))
+    assert hole_atom(Context((BOX_S, kind, DIA_S)), fit) is a
+    assert print_context(Context((BOX_S, kind, DIA_S)), fit) == print_formula(fit).replace("a", "[.]")
+
+
 def test_connectives_keep_their_arity():
     a = Atom("a")
     for bad in (lambda: Par(a), lambda: Tensor(a, a, a), lambda: Box(), lambda: Diamond(a, a)):

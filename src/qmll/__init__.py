@@ -7,8 +7,7 @@ token machine, extracting the circuit a proof denotes.
 
 from .circuits import (Circuit, EmbeddedGate, circuit_from_json, circuit_to_json,
                        circuit_unitary, embed_gate, encode, extract, simulate)
-from .cutelim import (Redex, ReductionTrace, find_redexes, first_redex, normalize, step,
-                      weight)
+from .cutelim import Redex, ReductionTrace, find_redexes, normalize, step, weight
 from .errors import (CheckFailure, DimensionError, FormulaSyntaxError, MachineError,
                      PreconditionError, ProofError, ProofSyntaxError, QmllError,
                      StaleRedexError)

@@ -187,7 +187,7 @@ def extract(proof: Proof, entry_pos: int, ctx: Context,
     m = depth(ctx)
     gates = []
     for u, offset in seq:
-        if prune_identity and approx_equal(u.data, np.eye(2 ** u.dim_qubits), 1e-9):
+        if prune_identity and (u.is_identity or approx_equal(u.data, np.eye(len(u.data)), 1e-9)):
             continue
         gates.append((u, tuple(range(offset + 1, offset + 1 + u.dim_qubits))))
     return Circuit(m, tuple(gates))

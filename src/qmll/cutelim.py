@@ -27,10 +27,10 @@ Each node carries a `Summary` (rule count, weight, how many redexes of each
 family its subtree holds, its own redex), computed the first time it is
 asked for and stored on the immutable node, so summarizing a new proof visits
 only the nodes built since. `weight`, `rule_count` and the default step
-bound read the root's summary, and `find_redexes` and `first_redex` enter
-only the subtrees that hold the offered family. Summaries stay lazy
-because parsing and encoding build many proofs that are never normalized,
-and would pay for them at construction.
+bound read the root's summary, and `find_redexes` enters only the subtrees
+that hold the offered family. Summaries stay lazy because parsing and
+encoding build many proofs that are never normalized, and would pay for
+them at construction.
 
 One engine fires redexes: a zipper (`_Zipper`) that holds the proof as a
 focus subtree under a stack of parent frames. The zipper tracks the proof's
@@ -44,11 +44,11 @@ between consecutive redexes, not their depth. The step's permutation is
 pushed into the frames only until it becomes the identity; a parent is
 rebuilt only when the focus leaves it upwards, and the root once, when the
 zipper closes. The weight is checked to fall on every step, and the root's
-summary must agree with the tracked totals at the end. `step` runs the
-same engine on one redex: it opens a zipper along the redex path, fires,
-and closes. It fires only a node's own redex, as the node's summary names
-it, so each schema's shape is recognized in `_cut_redex` and `_summarize`
-alone.
+summary must agree with the tracked totals at the end. `find_redexes`
+seeks each offered redex on the same engine, and `step` fires one: it
+opens a zipper along the redex path, fires, and closes. It fires only a
+node's own redex, as the node's summary names it, so each schema's shape
+is recognized in `_cut_redex` and `_summarize` alone.
 
 Contraction tensors the two gates as a Kronecker pair (`matrices.kron_pair`),
 which makes no dense gate. Quantum principal reduction multiplies the two
@@ -256,13 +256,6 @@ def find_redexes(p: Proof) -> list[Redex]:
     z = _Zipper(p)
     fam, n = z.offered()
     return [z.seek(fam, i) for i in range(n)]
-
-
-def first_redex(p: Proof) -> Redex | None:
-    """`find_redexes(p)[0]`, or None: it walks one path and stops at the first hit."""
-    z = _Zipper(p)
-    fam, n = z.offered()
-    return z.seek(fam, 0) if n else None
 
 
 # ---------------------------------------------------------------------------

@@ -166,8 +166,12 @@ def atoms(f: Formula) -> list[Atom]:
 
 def print_formula(f: Formula) -> str:
     """The concrete syntax of f, written out in pre-order from an explicit stack."""
+    return _print([f])
+
+
+def _print(stack: list[Formula | str]) -> str:
+    """Pop `stack` empty, writing a string as it is and a formula in pre-order."""
     out: list[str] = []
-    stack: list[Formula | str] = [f]
     while stack:
         item = stack.pop()
         t = type(item)
@@ -313,16 +317,16 @@ def contexts_for(f: Formula) -> list[tuple[Context, bool]]:
 
 
 def print_context(c: Context, f: Formula) -> str:
-    """`f` written with the atom at the hole of `c` as `[.]`; refused as `hole_atom` refuses."""
+    """`f` with the hole of `c` as `[.]`, stacked in one walk; refused as `hole_atom` refuses."""
     hole_atom(c, f)
-    head, tail = [], []
+    head, tail = [], []  # written before the hole, in order; after it, outermost step first
     for kind in c.steps:
         part = STEPS[kind][1]
         if len(f.steps) == 1:
             head.append(f.symbol + " ")
         else:
-            other = print_formula(getattr(f, f.__match_args__[1 - part]))
-            head.append(f"({other} {f.symbol} " if part else "(")
-            tail.append(")" if part else f" {f.symbol} {other})")
+            other = getattr(f, f.__match_args__[1 - part])
+            head += ("(", other, f" {f.symbol} ") if part else ("(",)
+            tail += (")",) if part else (")", other, f" {f.symbol} ")
         f = getattr(f, f.__match_args__[part])
-    return "".join(head) + "[.]" + "".join(reversed(tail))
+    return _print(tail + ["[.]"] + head[::-1])

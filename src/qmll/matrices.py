@@ -5,14 +5,14 @@ most-significant-first, so qubit 1 is the first Kronecker factor. Gates from
 outside are certified unitary to UNITARY_EPS in full, gates composed of them by
 an O(4^n) probe; end-to-end equalities in callers use a looser 1e-8.
 
-A Kronecker pair (`kron_pair`, which cut elimination's contraction builds)
-keeps its two factors and makes its dense form only when its `data` is first
-read: when it is printed, compared or handed to the token machine. That form
-is certified by the probe then, and kept. A product with a pair that has one
-factor other than an identity `I{n}` applies that factor to the other side
-(`apply_gate`, after Van Loan, "The ubiquitous Kronecker product", 2000) and
-forms no pair; any other product forms its pairs by `dense`, which keeps
-nothing. `tensor` forms its pair at once.
+A Kronecker pair (`kron_pair`, which contraction builds) keeps its two factors,
+and an identity (`identity_gate`, which eta expansion and `encode` build) is
+structure that `is_identity` alone names. Neither has `data` until it is read:
+printed, compared or handed to the token machine. Then a pair's is certified by
+the probe, an identity's is the exact eye, and either is kept. A product with a
+pair that has one factor other than an identity applies that factor to the other
+side (`apply_gate`, after Van Loan, "The ubiquitous Kronecker product", 2000);
+any other product forms its operands by `dense`, which keeps nothing.
 """
 
 from __future__ import annotations
@@ -61,16 +61,14 @@ def approx_equal(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 @dataclass(frozen=True, eq=False)
 class UnitaryMatrix:
     """A read-only 2^n by 2^n unitary; built directly, a leaf certified in full in O(8^n).
-
-    A Kronecker pair (`kron_pair`) holds its two `factors` and no `data` until
-    `data` is first read; then it forms, certifies and keeps it.
-    """
+    A pair (`kron_pair`) or an identity (`identity_gate`) forms `data` when it is first read."""
 
     data: np.ndarray
     dim_qubits: int = field(init=False)
     name: str | None = None
     factors: tuple[UnitaryMatrix, UnitaryMatrix] | None = field(default=None, init=False,
                                                                 repr=False)
+    is_identity: bool = field(default=False, init=False, repr=False)
     _composed: InitVar[bool] = False  # set by `composed` alone
 
     def __post_init__(self, _composed: bool):
@@ -95,18 +93,21 @@ class UnitaryMatrix:
         object.__setattr__(self, "dim_qubits", n)
 
     def __getattr__(self, attr: str):
-        """Only a Kronecker pair lacks `data`: form it, certified, and keep it."""
-        if attr != "data" or self.factors is None:
+        """Only a Kronecker pair or an identity lacks `data`: form it and keep it."""
+        if attr != "data" or (self.factors is None and not self.is_identity):
             raise AttributeError(attr)
         m = self.dense()
         object.__setattr__(self, "data", m)
         return m
 
     def dense(self) -> np.ndarray:
-        """`data`, except that a pair's dense form, made now and certified, is not kept: an
-        operand of a product may stay referenced after the product has consumed it."""
+        """`data`, except that a form made now (a pair's certified, an identity's exact) is not
+        kept: an operand of a product may stay referenced after the product has consumed it."""
         m = self.__dict__.get("data")
-        if m is None:
+        if m is None and self.is_identity:
+            m = np.eye(2**self.dim_qubits, dtype=complex)
+            m.setflags(write=False)
+        elif m is None:
             a, b = self.factors
             m = UnitaryMatrix.composed(np.kron(a.dense(), b.dense())).data
         return m
@@ -126,8 +127,8 @@ def _probe(dim: int) -> np.ndarray:
 
 
 def matmul(a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
-    """The product ab. If a Kronecker pair has at most one factor that is not an identity
-    `I{n}`, that factor is applied to the other side by `apply_gate` (through transposes
+    """The product ab. If a Kronecker pair has at most one factor that is not an identity,
+    that factor is applied to the other side by `apply_gate` (through transposes
     when the pair is b); otherwise both sides are formed and multiplied densely."""
     if a.dim_qubits == b.dim_qubits:
         if (lone := _lone_factor(a)) is not None:
@@ -146,7 +147,7 @@ def _lone_factor(u: UnitaryMatrix) -> tuple[UnitaryMatrix, int] | None:
     if u.factors is None:
         return None
     leaves = list(_leaves(u, 0))
-    moving = [(v, k) for v, k in leaves if v.name != f"I{v.dim_qubits}"]
+    moving = [(v, k) for v, k in leaves if not v.is_identity]
     return None if len(moving) > 1 else (moving or leaves)[0]
 
 
@@ -160,27 +161,29 @@ def _leaves(u: UnitaryMatrix, offset: int):
         yield from _leaves(b, offset + a.dim_qubits)
 
 
-def kron_pair(a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
-    """The Kronecker product a (x) b as a pair of factors; its dense form is made when
-    `data` is first read. The first factor takes the lower-numbered qubits."""
-    check_qubits(a.dim_qubits + b.dim_qubits)
+def _unformed(n: int, **attrs) -> UnitaryMatrix:
+    """A gate on n qubits, within the cap, that forms its `data` when it is first read."""
+    check_qubits(n)
     u = object.__new__(UnitaryMatrix)
-    object.__setattr__(u, "dim_qubits", a.dim_qubits + b.dim_qubits)
-    object.__setattr__(u, "factors", (a, b))
+    u.__dict__.update(dim_qubits=n, **attrs)  # bypasses the frozen __setattr__
     return u
 
 
+def kron_pair(a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
+    """a (x) b as a pair of factors, formed when first read; the first takes the lower qubits."""
+    return _unformed(a.dim_qubits + b.dim_qubits, factors=(a, b))
+
+
 def tensor(a: UnitaryMatrix, b: UnitaryMatrix) -> UnitaryMatrix:
-    """Kronecker product, formed and certified now; the first factor takes the lower-numbered
-    qubits."""
+    """a (x) b, formed and certified now; the first factor takes the lower-numbered qubits."""
     u = kron_pair(a, b)
     u.data
     return u
 
 
 def adjoint(u: UnitaryMatrix) -> UnitaryMatrix:
-    keep = u.name is not None and (u.name in _HERMITIAN or u.name.startswith("I"))
-    return UnitaryMatrix.composed(u.data.conj().T, name=u.name if keep else None)
+    return u if u.is_identity else UnitaryMatrix.composed(
+        u.data.conj().T, name=u.name if u.name in _HERMITIAN else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,12 +253,12 @@ _GATES = {name: UnitaryMatrix(np.array(rows, dtype=complex), name=name) for name
     "CNOT": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
     "SWAP": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
 }.items()}  # leaves certified once, at import; gate_by_name hands out these instances
-_HERMITIAN = {"H", "X", "Y", "Z", "CNOT", "SWAP"}  # I{n} handled separately
+_HERMITIAN = {"H", "X", "Y", "Z", "CNOT", "SWAP"}  # an identity is its own adjoint by structure
 
 
 def identity_gate(n: int) -> UnitaryMatrix:
-    check_qubits(n)
-    return UnitaryMatrix.composed(np.eye(2**n, dtype=complex), name=f"I{n}")
+    """The identity on n qubits, named `I{n}`: structure, with no `data` until it is read."""
+    return _unformed(n, name=f"I{n}", is_identity=True)
 
 
 def gate_by_name(name: str) -> UnitaryMatrix:

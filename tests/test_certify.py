@@ -2,10 +2,11 @@
 
 A leaf (a direct `UnitaryMatrix`, a `(mat …)` literal, a circuit-JSON
 matrix, a named gate) must pass ||U^†U - I||_F <= UNITARY_EPS. A gate built
-by `matmul`, `tensor`, `adjoint`, `identity_gate`, `embed_gate` or
-`semantics_relative`, and a Kronecker pair's dense form when it is first read,
-goes through `UnitaryMatrix.composed`, which checks ||U^†(Ux) - x|| <=
-UNITARY_EPS for a fixed unit x.
+by `matmul`, `tensor`, `adjoint`, `embed_gate` or `semantics_relative`, and a
+Kronecker pair's dense form when it is first read, goes through
+`UnitaryMatrix.composed`, which checks ||U^†(Ux) - x|| <= UNITARY_EPS for a
+fixed unit x. An identity (`identity_gate`) is certified by construction: its
+dense form is the exact eye, and its adjoint is itself.
 """
 
 import json

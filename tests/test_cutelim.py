@@ -9,7 +9,7 @@ from qmll import (circuit_from_json, check, encode, find_redexes, normalize, par
                   print_proof, proofs_equal, step, weight)
 from qmll import cutelim
 from qmll.cutelim import (Redex, TraceStep, _axiom_elim_perm, canonical_form,
-                          equal_modulo_representation, first_redex, summary)
+                          equal_modulo_representation, summary)
 from qmll.errors import MachineError, StaleRedexError
 from qmll.formulas import Atom, leading_run, modal_chain
 from qmll.matrices import approx_equal, gate_by_name, identity_gate
@@ -641,19 +641,6 @@ def test_zipper_matches_step_loop_on_corpus():
 @pytest.mark.parametrize("seed,qubits,gates", GOLDEN_CIRCUITS)
 def test_zipper_matches_step_loop_on_golden_circuits(seed, qubits, gates):
     assert_zipper_matches_step_loop(encode(circuit_from_json(random_circuit(seed, qubits, gates))))
-
-
-def test_first_redex_is_the_first_offered_on_corpus():
-    for p in differential_corpus():
-        assert first_redex(p) == (find_redexes(p) or [None])[0]
-
-
-@pytest.mark.parametrize("seed,qubits,gates", GOLDEN_CIRCUITS)
-def test_first_redex_is_the_first_offered_along_golden_normalizations(seed, qubits, gates):
-    p = encode(circuit_from_json(random_circuit(seed, qubits, gates)))
-    _, _, proofs, _ = leftmost_by_step(p)
-    for cur in proofs:
-        assert first_redex(cur) == (find_redexes(cur) or [None])[0]
 
 
 def summaries_per_step(monkeypatch, seed, gates, strategy="leftmost-innermost"):

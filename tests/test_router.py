@@ -188,13 +188,15 @@ def same_events(got, want):
 
 def test_run_matches_the_path_based_run():
     """Every entry of the acceptance corpus and of both golden circuits, run once
-    without a register or trace and once with a register and a trace."""
+    without a register or trace, once with a random register and a trace, and once on
+    |0…0>, whose zero amplitudes keep the sign each applied gate gives them."""
     rng = random.Random(13)
     runs = 0
     for p in random_corpus(20260811, 1000) + golden_proofs():
         graph, ref = OccurrenceGraph(p), RefGraph(p)
         for k, ctx in negative_entries(p):
-            for reg, traced in ((None, False), (rand_register(rng, depth(ctx)), True)):
+            for reg, traced in ((None, False), (rand_register(rng, depth(ctx)), True),
+                                (zero_state(depth(ctx)), False)):
                 start = initial_state(graph, k, ctx, reg)
                 got = run(graph, start, collect_trace=traced)
                 want = ref_run(ref, start, collect_trace=traced)
@@ -203,7 +205,7 @@ def test_run_matches_the_path_based_run():
                 assert same_state(got.final, want.final)
                 assert got.trace == want.trace
                 runs += 1
-    assert runs > 2000
+    assert runs > 3000
 
 
 def test_legal_state_bound_equals_the_path_keyed_sum():

@@ -1,22 +1,27 @@
-"""Structured gates: contraction keeps Kronecker factors, a product applies a lone factor.
+"""Structured gates: contraction keeps Kronecker factors, a product applies a lone factor,
+and an identity is structure.
 
 QContract builds a Kronecker pair (`kron_pair`) whose dense form is made when
 its `data` is first read. QuantumPrincipal's `matmul` applies a pair's one
 non-identity factor to the other side instead of forming the pair and
 multiplying densely. The references below are the dense operations that ran
-before; the printed normal forms must agree with them bit for bit.
+before; the printed normal forms must agree with them bit for bit. An
+identity (`identity_gate`) holds no array until its `data` is read, so a
+16-qubit `I16` can be parsed, checked, encoded, normalized and extracted.
 """
 
+import json
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qmll import (DimensionError, PreconditionError, UnitaryMatrix, circuit_from_json, encode,
-                  gate_by_name, identity_gate, matmul, normalize, parse_proof, print_proof,
-                  tensor)
+from qmll import (DimensionError, PreconditionError, UnitaryMatrix, adjoint, check,
+                  circuit_from_json, circuit_to_json, encode, extract, gate_by_name, identity_gate,
+                  matmul, negative_entries, normalize, parse_proof, print_proof, tensor)
 from qmll import cutelim, matrices
+from qmll.cli import main
 from qmll.matrices import check_qubits, kron_pair
 
 from gen import random_circuit, random_corpus, random_unitary
@@ -170,3 +175,86 @@ def test_contraction_builds_a_pair_that_prints_its_dense_form():
     assert nf.gate.factors == (H, T) and "data" not in vars(nf.gate)
     assert print_proof(nf) == print_proof(parse_proof("(q 2 (mat {}) (ax a))".format(
         " ".join(matrices.render_rows(np.kron(H.data, T.data))))))
+
+
+# ---------------------------------------------------------------------------
+# an identity is structure
+
+
+def test_an_identity_forms_the_exact_eye_on_first_read(monkeypatch):
+    monkeypatch.setattr(UnitaryMatrix, "composed", None)  # neither built nor read by a product
+    u = identity_gate(3)
+    assert (u.dim_qubits, u.name, u.is_identity, u.factors) == (3, "I3", True, None)
+    assert "data" not in vars(u) and adjoint(u) is u
+    assert u.data is u.data and not u.data.flags.writeable
+    assert u.data.dtype == complex and np.array_equal(u.data, np.eye(8))
+
+
+def test_only_identity_gate_builds_an_identity():
+    named = UnitaryMatrix(np.eye(2, dtype=complex), name="I1")
+    assert not named.is_identity and adjoint(named).name is None
+    assert not any(g.is_identity for g in (H, kron_pair(I1, I1), tensor(I1, I1), matmul(I1, I1)))
+    assert gate_by_name("I2").is_identity
+
+
+def test_prune_identity_drops_identities_by_structure_and_other_gates_by_value():
+    p = encode(circuit_from_json('{"qubits":2,"gates":[{"gate":"H","targets":[2]},'
+                                 '{"gate":"H","targets":[2]}]}'))
+    nf = normalize(p).final  # H·H on qubit 2, fused into one dense gate near the identity
+    [(k, ctx)] = negative_entries(p)
+    gates = [u for u, _ in extract(p, k, ctx).gates]
+    assert [u.name for u in gates] == ["I1", "H", "I1", "H"]
+    assert [u.is_identity for u in gates] == [True, False, True, False]
+    assert [u for u, _ in extract(p, k, ctx, prune_identity=True).gates] == [H, H]
+    [(fused, _)] = extract(nf, k, ctx).gates
+    assert not fused.is_identity and extract(nf, k, ctx, prune_identity=True).gates == ()
+
+
+BIG = 2 ** 16
+I16_PROOF = "(q 16 I16 (ax a))"
+BOXES_16 = "(ax " + "[] " * 16 + "a)"
+I16_CIRCUIT = json.dumps({"qubits": 16, "gates": [{"gate": "I16", "targets": list(range(1, 17))}]},
+                         separators=(",", ":"))  # also what `extract` prints for I16_PROOF
+NO_GATES = '{"qubits":16,"gates":[]}'
+
+
+@pytest.fixture
+def eye_calls(monkeypatch):
+    """`np.eye`, recording each size it is asked for and refusing 2^16 before allocating it."""
+    monkeypatch.delenv("QMLL_MAX_QUBITS", raising=False)  # the default cap admits 16 qubits
+    calls, real = [], np.eye
+
+    def eye(n, *args, **kwargs):
+        calls.append(n)
+        if n >= BIG:
+            raise AssertionError(f"np.eye({n}) would allocate {16 * n * n} bytes")
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "eye", eye)
+    return calls
+
+
+def test_a_16_qubit_identity_allocates_no_array_in_the_library(eye_calls):
+    p = parse_proof(I16_PROOF)
+    assert check(p).ok and print_proof(p) == I16_PROOF
+    assert print_proof(encode(circuit_from_json(I16_CIRCUIT))) == I16_PROOF
+    assert print_proof(normalize(parse_proof(BOXES_16)).final) == I16_PROOF
+    [(k, ctx)] = negative_entries(p)
+    assert circuit_to_json(extract(p, k, ctx, prune_identity=True)) == NO_GATES
+    assert circuit_to_json(extract(p, k, ctx)) == I16_CIRCUIT
+    assert eye_calls == []
+
+
+def test_a_16_qubit_identity_allocates_no_array_in_the_cli(eye_calls, tmp_path, capsys):
+    files = {"i16.proof": I16_PROOF, "boxes.proof": BOXES_16, "i16.json": I16_CIRCUIT}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text + "\n")
+    proof, boxes, circuit = (str(tmp_path / name) for name in files)
+    for argv, out in ((["check", proof], "ok: |- " + "<> " * 16 + "~a, " + "[] " * 16 + "a"),
+                      (["encode", circuit], I16_PROOF),
+                      (["normalize", boxes], I16_PROOF),
+                      (["extract", proof, "--prune-identity"], NO_GATES),
+                      (["extract", proof], I16_CIRCUIT)):
+        assert main(argv) == 0
+        assert capsys.readouterr() == (out + "\n", "")
+    assert eye_calls == []

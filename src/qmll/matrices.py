@@ -100,6 +100,10 @@ class UnitaryMatrix:
         object.__setattr__(self, "data", m)
         return m
 
+    def __repr__(self) -> str:  # reads no `data`, which a pair or an identity would form
+        kind = "pair" if self.factors else "identity" if self.is_identity else "leaf"
+        return f"UnitaryMatrix(name={self.name!r}, qubits={self.dim_qubits}, {kind})"
+
     def dense(self) -> np.ndarray:
         """`data`, except that a form made now (a pair's certified, an identity's exact) is not
         kept: an operand of a product may stay referenced after the product has consumed it."""
@@ -262,7 +266,7 @@ def identity_gate(n: int) -> UnitaryMatrix:
 
 
 def gate_by_name(name: str) -> UnitaryMatrix:
-    if name.startswith("I") and name[1:].isdigit() and int(name[1:]) > 0:
+    if name.startswith("I") and name[1:].isdecimal() and int(name[1:]) > 0:
         return identity_gate(int(name[1:]))
     if name in _GATES:
         return _GATES[name]

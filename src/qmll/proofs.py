@@ -23,9 +23,10 @@ File format:
     GATE ::= I{n} | H | X | Y | Z | S | T | CNOT | SWAP | (mat ROW ...)
 
 where ROW is a bracket list of [re,im] pairs, row-major. `parse_proof`
-reads a file in one pass on an explicit stack and builds each rule with its
-checking constructor as the rule's `)` closes, so a proof of any depth that
-`print_proof` writes reads back.
+reads the tokens of one compiled scan (`tokens`, which gives each token its
+offset) by index, in one pass on an explicit stack, and builds each rule with
+its checking constructor as the rule's `)` closes, so a proof of any depth
+that `print_proof` writes reads back. Each distinct gate spelling is read once.
 """
 
 from __future__ import annotations
@@ -61,33 +62,40 @@ def path_str(p: Path) -> str:
 
 
 def _parse_gate(ts: tk.TokenStream) -> UnitaryMatrix:
-    t = ts.peek()
+    """A gate name or `(mat ROW ...)` literal; a stream reads each distinct spelling once."""
+    t = ts.next()
     if t.kind == tk.IDENT:
-        ts.next()
-        try:
-            return gate_by_name(t.text)
-        except PreconditionError:  # a well-formed name over the qubit cap
-            raise
-        except QmllError as e:
-            raise ProofSyntaxError(str(e), t.pos) from e
-    if t.kind == tk.LP:
-        ts.next()
+        key = t.text
+    elif t.kind == tk.LP:
         kw = ts.expect(tk.IDENT, ProofSyntaxError)
         if kw.text != "mat":
             raise ProofSyntaxError(f"expected 'mat', found {kw.text!r}", kw.pos)
-        rows = []
+        start = ts.idx
         while ts.peek().kind == tk.ROW:
-            rows.append(ts.next().text)
+            ts.idx += 1
+        key = tuple(r.text for r in ts.toks[start:ts.idx])
         ts.expect(tk.RP, ProofSyntaxError)
-        if not rows:
-            raise ProofSyntaxError("empty matrix literal", t.pos)
-        check_qubits((len(rows) - 1).bit_length())
-        data = _literal_data(rows, t.pos)
-        try:
-            return UnitaryMatrix(data)
-        except QmllError as e:
-            raise ProofSyntaxError(f"bad matrix literal: {e}", t.pos) from e
-    raise ProofSyntaxError(f"expected a gate, found {t.text!r}", t.pos)
+    else:
+        raise ProofSyntaxError(f"expected a gate, found {t.text!r}", t.pos)
+    if key not in ts.memo:
+        ts.memo[key] = _read_gate(key, t.pos)
+    return ts.memo[key]
+
+
+def _read_gate(key: str | tuple[str, ...], pos: int) -> UnitaryMatrix:
+    """The gate that a name, or the rows of a literal at offset `pos`, spell."""
+    try:
+        if type(key) is str:
+            return gate_by_name(key)
+        if not key:
+            raise ProofSyntaxError("empty matrix literal", pos)
+        check_qubits((len(key) - 1).bit_length())
+        return UnitaryMatrix(_literal_data(list(key), pos))
+    except (PreconditionError, ProofSyntaxError):  # over the qubit cap, or refused above
+        raise
+    except QmllError as e:
+        raise ProofSyntaxError(("" if type(key) is str else "bad matrix literal: ") + str(e),
+                               pos) from e
 
 
 _ROW_PUNCT = str.maketrans("[],", "   ")
@@ -96,17 +104,19 @@ _ROW_PUNCT = str.maketrans("[],", "   ")
 def _literal_data(rows: list[str], pos: int) -> np.ndarray:
     """The matrix spelled by ROW token texts; entries are bit for bit `complex(re, im)`.
 
-    The tokenizer has checked each row's shape, so its numbers are the words
-    left when brackets and commas are read as spaces.
+    The tokenizer has checked each row's shape, so a row holds one entry per `[`
+    but its first, and its numbers are the words left when brackets and commas
+    are read as spaces. Each distinct word is read by float() once.
     """
-    nums = [row.translate(_ROW_PUNCT).split() for row in rows]
-    width = len(nums[0])
-    for k, row in enumerate(nums[1:], start=2):
-        if len(row) != width:
-            raise ProofSyntaxError(f"ragged matrix literal: row {k} has {len(row) // 2} "
-                                   f"entries, row 1 has {width // 2}", pos)
-    flat = np.array([float(x) for row in nums for x in row])
-    return flat.view(complex).reshape(len(rows), width // 2)
+    widths = [row.count("[") - 1 for row in rows]
+    for k, width in enumerate(widths[1:], start=2):
+        if width != widths[0]:
+            raise ProofSyntaxError(f"ragged matrix literal: row {k} has {width} "
+                                   f"entries, row 1 has {widths[0]}", pos)
+    words = " ".join(rows).translate(_ROW_PUNCT).split()
+    value = {w: float(w) for w in set(words)}
+    flat = np.fromiter(map(value.__getitem__, words), float, len(words))
+    return flat.view(complex).reshape(len(rows), widths[0])
 
 
 def _parse_position(ts: tk.TokenStream) -> int:
@@ -123,41 +133,36 @@ def print_gate(g: UnitaryMatrix) -> str:
     return "(mat " + " ".join(render_rows(g.data)) + ")"
 
 
-def _open_rule(ts: tk.TokenStream) -> tuple:
-    """Read a rule's `(`, keyword and head: (constructor, head, premises read, premise count)."""
-    ts.expect(tk.LP, ProofSyntaxError)
-    kw = ts.expect(tk.IDENT, ProofSyntaxError)
-    if kw.text not in _KEYWORDS:
-        raise ProofSyntaxError(f"unknown rule {kw.text!r}", kw.pos)
-    rule, flip = _KEYWORDS[kw.text]
-    ctor = partial(rule, flip=True) if flip else rule
-    return (ctor, [read(ts) for read in rule.readers], [], len(rule.premises))
-
-
 def parse_proof(text: str) -> Proof:
     """Parse and check a proof; raises on syntax errors or rule violations.
 
-    One left-to-right pass over the tokens, on an explicit stack of open
-    rules: a rule's head is read when its `(` opens, and its checking
+    One left-to-right pass over the tokens by index, on an explicit stack of
+    open rules: a rule's head is read when its `(` opens, and its checking
     constructor builds it when its `)` closes. A rule that fails its check is
     recorded with its path, and no rule above it is built; the violations
     come out in post-order, after the whole text has parsed.
     """
     ts = tk.TokenStream(tk.tokenize(text))
     violations: list[tuple[str, str]] = []
-    stack: list[tuple] = []  # the open ancestors of the rule being read
+    stack: list[tuple] = []  # open ancestors: (constructor, arguments read, count, head length)
     while True:
-        rule = _open_rule(ts)
-        while len(rule[2]) == rule[3]:
+        ts.expect(tk.LP, ProofSyntaxError)
+        kw = ts.expect(tk.IDENT, ProofSyntaxError)
+        if kw.text not in _KEYWORDS:
+            raise ProofSyntaxError(f"unknown rule {kw.text!r}", kw.pos)
+        ctor, readers, count = _KEYWORDS[kw.text]
+        rule = (ctor, [], count, len(readers))
+        for read in readers:
+            rule[1].append(read(ts))
+        while len(rule[1]) == rule[2]:
             ts.expect(tk.RP, ProofSyntaxError)
-            ctor, head, premises, _ = rule
             node = None
-            if None not in premises:
+            if not violations or None not in rule[1]:  # a premise is None only after a violation
                 try:
-                    node = ctor(*head, *premises)
+                    node = rule[0](*rule[1])
                 except ProofError as e:
                     # each ancestor's premises read so far index the child below it
-                    path = tuple(len(r[2]) for r in stack)
+                    path = tuple(len(r[1]) - r[3] for r in stack)
                     violations.append((path_str(path), str(e)))
             if not stack:
                 end = ts.peek()
@@ -167,7 +172,7 @@ def parse_proof(text: str) -> Proof:
                     raise CheckFailure(CheckReport(False, tuple(violations)))
                 return node
             rule = stack.pop()
-            rule[2].append(node)
+            rule[1].append(node)
         stack.append(rule)
 
 
@@ -362,8 +367,9 @@ class QRule(Rule):
 
 
 Proof = AxiomRule | CutRule | ParRule | TensorRule | QRule
-_KEYWORDS = {kw: (rule, flip) for rule in Rule.__subclasses__()
-             for flip, kw in enumerate(rule.keywords)}
+_KEYWORDS = {kw: (partial(rule, flip=True) if flip else rule, rule.readers,
+                  len(rule.readers) + len(rule.premises))
+             for rule in Rule.__subclasses__() for flip, kw in enumerate(rule.keywords)}
 _set_conclusion, _set_summary = Rule.conclusion.__set__, Rule.summary.__set__
 
 
@@ -544,11 +550,22 @@ class CheckReport:
 
 
 def check(p: Proof) -> CheckReport:
-    """Re-run every rule instance's side conditions; reports the first violation found."""
-    for path, node in iter_nodes(p):  # conclusions are the constructors', not derived again
+    """Re-run every rule instance's side conditions; reports the first violation in post-order.
+    The walk keeps no paths, so it costs O(nodes) at any depth; only the node reported gets one."""
+    order, stack = [], [(p, -1, 0)]  # pre-order, right to left: (node, parent's index, k)
+    while stack:
+        item = stack.pop()
+        for k, c in enumerate(children(item[0])):
+            stack.append((c, len(order), k))
+        order.append(item)
+    for node, up, k in reversed(order):  # conclusions are the constructors', not derived again
         msgs = node._violations()
         if msgs:
-            return CheckReport(False, ((path_str(path), msgs[0]),))
+            path = []
+            while up >= 0:
+                path.append(k)
+                _, up, k = order[up]
+            return CheckReport(False, ((path_str(tuple(reversed(path))), msgs[0]),))
     return CheckReport(True)
 
 

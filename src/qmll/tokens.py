@@ -4,12 +4,21 @@ Single-character punctuation plus the two-character modal markers `[]`
 and `<>`. Any other `[` must start a whole matrix-literal row
 `[[re,im],...,[re,im]]`, which is one ROW token; a `[` that does not is a
 syntax error at its offset.
+
+`tokenize` is one compiled scan: each match is a token and the whitespace
+after it, so on well-formed text the matches tile the text and a token's
+offset is the length of the matches before it. A row matches by its bracket
+shape, and each distinct entry is then checked once against the entry
+grammar. Only text that fails is scanned again, match by match, for the
+offset of the first gap between matches or of the first token refused.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import SyntaxLocationError
 
@@ -19,60 +28,67 @@ IDENT, NUMBER, ROW, EOF = "ident", "number", "row", "eof"
 
 # A NUMBER token, and a number inside a row: exactly the spellings float() reads.
 _NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_ENTRY = rf"\[\s*{_NUMBER.pattern}\s*,\s*{_NUMBER.pattern}\s*\]"
-_ROW = re.compile(rf"\[\s*{_ENTRY}(?:\s*,\s*{_ENTRY})*\s*\]")
+_ENTRY = re.compile(rf"\s*{_NUMBER.pattern}\s*,\s*{_NUMBER.pattern}\s*")  # inside [ ]
+# One token and the whitespace after it. A match cannot start on whitespace, so
+# where one fails, the scan tries again only at the next character.
+_TOKEN = re.compile(rf"""(?:
+    [()\],~%*] | \[\] | <>
+  | \[\s*\[[^\[\]]*\](?:\s*,\s*\[[^\[\]]*\])*\s*\]   # a row, by its bracket shape
+  | {_NUMBER.pattern}
+  | [^\W\d]\w*   # an identifier, if its first character is a letter or _
+)\s*""", re.VERBOSE)
 
-_PUNCT = {"(": LP, ")": RP, "]": RB, ",": COMMA, "~": TILDE, "%": PERCENT, "*": STAR}
+_FIXED = {c: c for c in (LP, RP, RB, COMMA, TILDE, PERCENT, STAR, BOX, DIAMOND)}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     pos: int
 
 
+_token = partial(tuple.__new__, Token)  # a Token from a (kind, text, pos) triple
+
+
 def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCT:
-            toks.append(Token(_PUNCT[c], c, i))
-            i += 1
-        elif c == "[":
-            if i + 1 < n and text[i + 1] == "]":
-                toks.append(Token(BOX, "[]", i))
-                i += 2
-            else:
-                m = _ROW.match(text, i)
-                if m is None:
-                    raise SyntaxLocationError(
-                        "malformed matrix row: expected [[re,im],...,[re,im]]", i)
-                toks.append(Token(ROW, m.group(), i))
-                i = m.end()
-        elif c == "<":
-            if i + 1 < n and text[i + 1] == ">":
-                toks.append(Token(DIAMOND, "<>", i))
-                i += 2
-            else:
-                raise SyntaxLocationError("expected '>' after '<'", i)
-        elif (c.isdigit() or c in "+-.") and (m := _NUMBER.match(text, i)):
-            toks.append(Token(NUMBER, m.group(), i))
-            i = m.end()
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token(IDENT, text[i:j], i))
-            i = j
-        else:
-            raise SyntaxLocationError(f"unexpected character {c!r}", i)
-    toks.append(Token(EOF, "", n))
+    start = len(text) - len(text.lstrip())
+    spans = _TOKEN.findall(text, start)
+    texts = list(map(str.rstrip, spans))
+    kinds = dict.fromkeys(texts)  # each distinct spelling is classified once
+    bad = set()
+    for s in kinds:
+        c = s[0]
+        kind = kinds[s] = _FIXED.get(s) or (
+            ROW if c == "[" else NUMBER if c in "+-." or c.isdecimal() else IDENT)
+        if kind == IDENT and not (c.isalpha() or c == "_"):
+            bad.add(s)
+    rows = [s for s in kinds if kinds[s] == ROW]
+    if not _entries_read("".join(rows)):
+        bad.update(filter(lambda s: not _entries_read(s), rows))
+    if bad or start + sum(map(len, spans)) != len(text):
+        _refuse(text, start, bad)
+    pos = accumulate(map(len, spans), initial=start)
+    toks = list(map(_token, zip(map(kinds.__getitem__, texts), texts, pos)))
+    toks.append(Token(EOF, "", len(text)))
     return toks
+
+
+def _entries_read(rows: str) -> bool:
+    """Whether each entry of rows the scan matched holds two numbers and a comma: cut at
+    every `]`, a piece holding a `[` ends in one entry, after its last `[`."""
+    return all(_ENTRY.fullmatch(p.rpartition("[")[2]) for p in set(rows.split("]")) if "[" in p)
+
+
+def _refuse(text: str, end: int, bad: set[str]) -> None:
+    """Raise at the first token in `bad`, or at the first text no token matches."""
+    for m in _TOKEN.finditer(text, end):
+        if m.start() != end or m.group().rstrip() in bad:
+            break
+        end = m.end()
+    c = text[end]
+    message = {"[": "malformed matrix row: expected [[re,im],...,[re,im]]",
+               "<": "expected '>' after '<'"}.get(c, f"unexpected character {c!r}")
+    raise SyntaxLocationError(message, end)
 
 
 class TokenStream:
@@ -81,6 +97,7 @@ class TokenStream:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.idx = 0
+        self.memo: dict = {}  # what a reader made of a spelling, for it to share
 
     def peek(self) -> Token:
         return self.toks[self.idx]
@@ -92,7 +109,8 @@ class TokenStream:
         return t
 
     def expect(self, kind: str, err=SyntaxLocationError) -> Token:
-        t = self.next()
+        t = self.toks[self.idx]
         if t.kind != kind:
             raise err(f"expected {kind!r}, found {t.text or 'end of input'!r}", t.pos)
+        self.idx += kind != EOF  # never past the EOF token, as in `next`
         return t

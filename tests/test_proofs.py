@@ -647,3 +647,43 @@ def test_assigning_or_deleting_a_rule_node_attribute_raises():
         with pytest.raises(AttributeError):
             delattr(node, name)
     assert [print_proof(p), print_proof(q)] == texts
+
+
+def _chain(depth):
+    """A cut under `depth` flipped quantum rules, as CI's 3000-deep chain is built."""
+    from qmll.formulas import Atom
+    from qmll.matrices import identity_gate
+    p = CutRule(2, 1, AxiomRule(Atom("a")), AxiomRule(Atom("a")))
+    for _ in range(depth):
+        p = QRule(1, identity_gate(1), p, flip=True)
+    return p
+
+
+def test_check_of_a_3000_deep_chain_keeps_no_paths():
+    import tracemalloc
+    p = _chain(3000)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert check(p).ok
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak  # a path per node held 36 MB
+
+
+def test_check_reports_the_first_injected_violation_in_post_order(monkeypatch):
+    from qmll.proofs import path_str
+    rng = random.Random(9)
+    proofs = random_corpus(20260811, 300) + [_chain(50)]
+    for p in proofs:
+        nodes = [node for _, node in iter_nodes(p)]
+        chosen = {id(rng.choice(nodes)) for _ in range(2)}
+        with monkeypatch.context() as m:
+            for cls in {type(node) for node in nodes}:
+                real = cls._violations
+                m.setattr(cls, "_violations", lambda self, real=real: (
+                    [f"injected at {type(self).__name__}"] if id(self) in chosen else real(self)))
+            want = next((path_str(path), msgs[0]) for path, node in iter_nodes(p)
+                        if (msgs := node._violations()))
+            assert check(p).violations == (want,)

@@ -258,3 +258,21 @@ def test_a_16_qubit_identity_allocates_no_array_in_the_cli(eye_calls, tmp_path, 
         assert main(argv) == 0
         assert capsys.readouterr() == (out + "\n", "")
     assert eye_calls == []
+
+
+def test_repr_forms_no_dense_array(monkeypatch):
+    from qmll.qiam import GateEvent
+
+    def no_eye(*args, **kwargs):
+        raise AssertionError("repr formed an identity's dense array")
+
+    monkeypatch.setattr(np, "eye", no_eye)
+    monkeypatch.setattr(np, "kron", no_eye)
+    big, pair = identity_gate(16), kron_pair(H, identity_gate(3))
+    for u in (big, pair):
+        for text in (repr(u), repr(GateEvent(u, 0, True))):
+            assert "data" not in vars(u) and "qubits=" in text
+    assert "data" not in vars(pair.factors[1])
+    assert repr(big) == "UnitaryMatrix(name='I16', qubits=16, identity)"
+    assert repr(pair) == "UnitaryMatrix(name=None, qubits=4, pair)"
+    assert repr(H) == "UnitaryMatrix(name='H', qubits=1, leaf)"

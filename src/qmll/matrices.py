@@ -13,6 +13,9 @@ the probe, an identity's is the exact eye, and either is kept. A product with a
 pair that has one factor other than an identity applies that factor to the other
 side (`apply_gate`, after Van Loan, "The ubiquitous Kronecker product", 2000);
 any other product forms its operands by `dense`, which keeps nothing.
+
+`render_rows` writes every matrix and register the tools print. It formats each
+distinct entry once, keyed by the entry's 16 bytes, since by value -0.0 == 0.0.
 """
 
 from __future__ import annotations
@@ -281,15 +284,17 @@ def f17(x: float) -> str:
 def render_rows(a: np.ndarray) -> list[str]:
     """Each row of a complex matrix, or a vector as one row, as `[[re,im],...]` in f17.
 
-    A circuit's matrix holds a few distinct doubles many times over, so each
-    distinct bit pattern is formatted once; keying by bits keeps -0.0 apart
-    from 0.0.
+    A circuit's matrix holds a few distinct entries many times over, so each
+    distinct entry is formatted once, keyed by its 16 bytes: keyed by value,
+    -0.0 would merge with 0.0. An `S16` key drops trailing NUL bytes, which
+    still leaves one key per 16-byte pattern.
     """
-    parts = np.ascontiguousarray(a, dtype=complex).view(np.float64).ravel()
-    bits = parts.view(np.int64).tolist()
-    words = {b: f17(x) for b, x in dict(zip(bits, parts.tolist())).items()}
-    texts = map(words.__getitem__, bits)
-    entries = [f"[{re},{im}]" for re, im in zip(texts, texts)]
+    c = np.ascontiguousarray(a, dtype=complex).reshape(-1)
+    keys = c.view("S16").tolist()
+    words = dict(zip(keys, c.tolist()))
+    for k, z in words.items():
+        words[k] = "[%.17g,%.17g]" % (z.real, z.imag)  # f17 of each part
+    entries = list(map(words.__getitem__, keys))
     if a.ndim == 1:
         return ["[" + ",".join(entries) + "]"]
     w = a.shape[1]

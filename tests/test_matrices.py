@@ -236,6 +236,25 @@ def test_render_rows_matches_per_entry_formatting_and_keeps_signed_zeros():
     assert render_rows(u[2]) == render_rows_per_entry(u[2])
 
 
+def test_render_rows_keeps_apart_every_16_byte_entry():
+    nul_tailed = [0j, 5e-324, 5e-324j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                  complex(5e-324, -0.0)]
+    one_part_apart = [complex(0.5, 0.25), complex(0.5, -0.25), complex(0.5, 0.0),
+                      complex(0.5, -0.0), complex(-0.0, 0.5), complex(0.0, 0.5)]
+    for entries in (nul_tailed, one_part_apart):
+        v = np.array(entries)
+        [text] = render_rows(v)
+        assert text == render_rows_per_entry(v)[0]
+        assert len(set(text[2:-2].split("],["))) == len(entries)
+        m = np.array([entries, entries[::-1]])
+        assert render_rows(m) == render_rows_per_entry(m)
+    u = rand_unitary(random.Random(4), 3).data
+    for a in (u.T, np.asfortranarray(u), u[::2, 1::3], u[:, 5], np.zeros(0, complex)):
+        assert render_rows(a) == render_rows_per_entry(a)
+    big = rand_unitary(random.Random(6), 7).data
+    assert render_rows(big) == render_rows_per_entry(big)
+
+
 def test_registers_over_the_cap_are_refused_before_allocation(monkeypatch):
     sizes = []
     zeros = np.zeros

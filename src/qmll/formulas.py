@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from . import tokens as tk
 from .errors import FormulaSyntaxError, QmllError, SyntaxLocationError
+from .trees import refold, unfold
 
 PAR_L, PAR_R, TENS_L, TENS_R, BOX_S, DIA_S = "parL", "parR", "tensL", "tensR", "box", "dia"
 
@@ -40,6 +41,26 @@ class Formula:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {print_formula(self)}>"
+
+    def __reduce__(self):
+        """Each subformula's class, with an atom's name and polarity, in a flat `unfold` list:
+        unpickled, it is built again by the constructors, interned as the equal formula."""
+        return refold, ([((type(g), g.name, g.positive) if type(g) is Atom else (type(g),), n)
+                         for g, n in unfold(self, _parts)], _rebuild)
+
+    def __copy__(self):  # interned: the one formula equal to it is itself
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+def _parts(f: Formula) -> tuple[Formula, ...]:
+    return () if type(f) is Atom else tuple(getattr(f, a) for a in f.__match_args__)
+
+
+def _rebuild(head: tuple, parts: list[Formula]) -> Formula:
+    return head[0](*head[1:], *parts)
 
 
 def _build(key: tuple, args: tuple, dual_key: tuple, dual_args: tuple, size: int) -> Formula:

@@ -8,8 +8,10 @@ an O(4^n) probe; end-to-end equalities in callers use a looser 1e-8.
 A Kronecker pair (`kron_pair`, which contraction builds) keeps its two factors,
 and an identity (`identity_gate`, which eta expansion and `encode` build) is
 structure that `is_identity` alone names. Neither has `data` until it is read:
-printed, compared or handed to the token machine. Then a pair's is certified by
-the probe, an identity's is the exact eye, and either is kept. A product with a
+printed, compared or applied by the token machine, which skips an identity
+wherever `identity_keeps` and `zero_signs_exact` say its product is exact. Then a
+pair's is certified by the probe, an identity's is the exact eye, and either is kept.
+Both pickle unformed, through `identity_gate` and `kron_pair`. A product with a
 pair that has one factor other than an identity applies that factor to the other
 side (`apply_gate`, after Van Loan, "The ubiquitous Kronecker product", 2000);
 any other product forms its operands by `dense`, which keeps nothing.
@@ -34,11 +36,22 @@ UNITARY_EPS = 1e-9
 _SQ2 = 1.0 / math.sqrt(2.0)
 
 
+# os.environ's backing dict, which its setters and deleters update, and the cap's key there:
+# for an unset name, `os.environ.get` raises and catches a KeyError, 30 times this read's cost
+_ENVIRON, _CAP_KEY = os.environ._data, os.environ.encodekey("QMLL_MAX_QUBITS")
+
+
 def max_qubits() -> int:
-    """Register size cap, configurable via QMLL_MAX_QUBITS."""
+    """Register size cap, configurable via QMLL_MAX_QUBITS (16 if unset or not an integer).
+    The variable is read on every call, so a change counts at once; each value is parsed once."""
+    return _parse_cap(_ENVIRON.get(_CAP_KEY))
+
+
+@functools.lru_cache(maxsize=16)
+def _parse_cap(raw: bytes | str | None) -> int:
     try:
-        return int(os.environ.get("QMLL_MAX_QUBITS", "16"))
-    except ValueError:
+        return int(raw)
+    except (TypeError, ValueError):
         return 16
 
 
@@ -102,6 +115,15 @@ class UnitaryMatrix:
         m = self.dense()
         object.__setattr__(self, "data", m)
         return m
+
+    def __reduce__(self):
+        """Its constructor and arguments: a pair or an identity comes back unformed, and any
+        other gate with its `data` certified by the probe and read-only."""
+        if self.is_identity:
+            return identity_gate, (self.dim_qubits,)
+        if self.factors is not None:
+            return kron_pair, self.factors
+        return UnitaryMatrix.composed, (self.data, self.name)
 
     def __repr__(self) -> str:  # reads no `data`, which a pair or an identity would form
         kind = "pair" if self.factors else "identity" if self.is_identity else "leaf"
@@ -245,6 +267,38 @@ def apply_gate(u: np.ndarray, a: np.ndarray, offset: int) -> np.ndarray:
     I_offset (x) u (x) I_rest.
     """
     return np.matmul(u, a.reshape(2**offset, u.shape[0], -1)).reshape(a.shape)
+
+
+_NEG_ZERO = np.float64(-0.0).view(np.int64)
+
+
+def identity_keeps(a: np.ndarray) -> bool:
+    """Whether `apply_gate` of an identity, at an offset where `zero_signs_exact` holds, gives
+    a finite `a` back byte for byte: true iff no real or imaginary part of `a` is -0.0.
+
+    Under IEEE 754 round-to-nearest (Goldberg, "What every computer scientist should know
+    about floating-point arithmetic", 1991), each part of I·a is one term, the part times
+    exactly 1, plus exact zeros from the other entries, so a nonzero part comes out unchanged.
+    A zero part is a sum of zeros that includes the diagonal term's +0, and such a sum is +0
+    in any order. Only a -0 part can change. One comparison of `a`, read as int64, against
+    the bit pattern of -0.0 tells, in O(size of a).
+    """
+    return not (np.ascontiguousarray(a).view(np.int64) == _NEG_ZERO).any()
+
+
+def zero_signs_exact(a: np.ndarray, offset: int, k: int) -> bool:
+    """Whether `apply_gate`'s product for a k-qubit gate at `offset` sums each zero part as
+    `identity_keeps` assumes: true if it has 1 trailing column or a multiple of 4.
+
+    OpenBLAS (0.3.31, Haswell kernels) multiplies the columns left over from groups of 4 with
+    kernels of their own, and those can write -0 for a +0 real part (seen when the other rows
+    of its column had negative real parts). In a property test over n <= 8, every identity
+    product that changed a byte had such columns; 1 column (a matrix-vector product) and
+    multiples of 4 never did. In `_apply` the count is a power of two, so only 2 is refused:
+    where offset + k is one qubit short of the array's.
+    """
+    columns = a.size >> (offset + k)
+    return columns == 1 or columns % 4 == 0
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .errors import CheckFailure, PreconditionError, ProofError, ProofSyntaxErro
 from .formulas import (Atom, Formula, Par, Tensor, is_modal, parse_formula_stream, print_formula,
                        wrap_modal)
 from .matrices import UnitaryMatrix, check_qubits, gate_by_name, render_rows
-from .trees import fold, post_order
+from .trees import fold, post_order, refold, unfold
 
 Sequent = tuple[Formula, ...]
 Path = tuple[int, ...]
@@ -236,6 +236,12 @@ class Rule:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        """Each rule's class and other arguments, in a flat `unfold` list: a copy or an
+        unpickled proof is built again, premises first, by the checking constructors."""
+        return refold, ([((type(r), tuple(getattr(r, a) for a in r._args)), n)
+                         for r, n in unfold(self, children)], _rebuild)
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} |- {print_sequent(self.conclusion)}>"
 
@@ -407,6 +413,13 @@ def with_child(node: Proof, k: int, child: Proof) -> Proof:
         _set_summary(copy, None)
         return copy
     return type(node)(*(child if a == name else getattr(node, a) for a in node.__match_args__))
+
+
+def _rebuild(head: tuple, premises: list[Proof]) -> Proof:
+    """The rule of class head[0] on the other arguments head[1] and these premises."""
+    cls, args = head[0], iter(head[1])
+    subs = iter(premises)
+    return cls(*(next(subs if a in cls.premises else args) for a in cls.__match_args__))
 
 
 def node_at(p: Proof, path: Path) -> Proof:

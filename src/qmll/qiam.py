@@ -7,7 +7,8 @@ below; axioms and cut formulas bounce it to the dual occurrence. Crossing a
 quantum rule moves modal steps between context and stack; the register is
 touched only when the token exits through the port opposite to the one it
 entered, applying the rule's gate (forward) or its adjoint (backward) on
-the qubit block between the context and stack qubits.
+the qubit block between the context and stack qubits. An identity event is
+skipped wherever applying it would give the register back byte for byte.
 
 Register layout: qubit 1 (most significant) is the modality nearest the
 hole atom; context qubits come first, innermost outward, then the stack,
@@ -24,7 +25,8 @@ import numpy as np
 from .errors import MachineError, PreconditionError
 from .formulas import (BOX_S, DIA_S, STEPS, Context, Formula, atoms, contexts_for, depth,
                        dual_context, hole_atom, print_context, print_formula)
-from .matrices import StateVector, UnitaryMatrix, adjoint, apply_gate, check_qubits
+from .matrices import (StateVector, UnitaryMatrix, adjoint, apply_gate, check_qubits,
+                       identity_keeps, zero_signs_exact)
 from .proofs import (AxiomRule, CutRule, Path, Proof, QRule, children, conclusion_position,
                      path_str, premise_source)
 
@@ -247,9 +249,19 @@ def run(graph: OccurrenceGraph, start: MachineState,
 
 
 def _apply(events: Sequence[GateEvent], a: np.ndarray) -> np.ndarray:
-    """`a` after each event's gate in run order; its trailing axis may hold a batch of columns."""
+    """`a` after each event's gate in run order; its trailing axis may hold a batch of columns.
+    An identity event is skipped where `zero_signs_exact` and `identity_keeps(a)` hold, so its
+    dense product would give `a` back byte for byte; `identity_keeps` is asked once for a run
+    of identity events and again after a gate has been applied."""
+    keeps = None  # identity_keeps(a), once asked since a last changed
     for ev in events:
+        if ev.gate.is_identity and zero_signs_exact(a, ev.offset, ev.gate.dim_qubits):
+            if keeps is None:
+                keeps = identity_keeps(a)
+            if keeps:
+                continue
         a = apply_gate(ev.applied().data, a, ev.offset)
+        keeps = None
     return a
 
 
@@ -275,7 +287,9 @@ def semantics_relative(proof: Proof, entry_pos: int, ctx: Context) -> SemanticsR
 
     Gate events are register-independent, so the run is executed once
     without a register; each event's gate is then applied, in run order, to
-    every column of the identity, which leaves the unitary in its place.
+    every column of the identity, which leaves the unitary in its place. An
+    identity event is skipped where `_apply` finds its dense product exact:
+    on 2 or more qubits, wherever the unitary so far has no -0 part.
     """
     graph = OccurrenceGraph(proof)
     start = initial_state(graph, entry_pos, ctx)

@@ -16,6 +16,12 @@ def fold(root: N, kids: Callable[[N], Sequence[N]], combine: Callable[[N, list],
     runs on an explicit stack and stores nothing on the nodes: a subtree
     shared between several places is folded once per place it appears.
     """
+    return refold(unfold(root, kids), combine)
+
+
+def unfold(root: N, kids: Callable[[N], Sequence[N]]) -> list[tuple[N, int]]:
+    """Each node of the tree at `root` with its number of children, in pre-order, left to
+    right, from an explicit stack: a flat list, which also pickles at any depth."""
     order = []
     stack = [root]
     while stack:
@@ -23,6 +29,11 @@ def fold(root: N, kids: Callable[[N], Sequence[N]], combine: Callable[[N, list],
         sub = kids(node)
         order.append((node, len(sub)))
         stack.extend(reversed(sub))
+    return order
+
+
+def refold(order: list[tuple[N, int]], combine: Callable[[N, list], V]) -> V:
+    """`combine(item, values)` over an `unfold` list of (item, child count), children first."""
     values: list = []  # folds waiting for their parent; a node's children on top, leftmost last
     for node, n in reversed(order):
         done = values[:-n - 1:-1]

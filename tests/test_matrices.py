@@ -6,7 +6,7 @@ import pytest
 from qmll import (DimensionError, PreconditionError, StateVector, UnitaryMatrix, adjoint,
                   approx_equal, basis_state, gate_by_name, identity_gate, matmul, tensor,
                   zero_state)
-from qmll.matrices import apply_gate, f17, render_rows
+from qmll.matrices import apply_gate, f17, max_qubits, render_rows
 
 H = gate_by_name("H")
 X = gate_by_name("X")
@@ -277,3 +277,14 @@ def test_certification_refuses_nan_and_inf_in_full_and_by_probe(bad):
         UnitaryMatrix(m)
     with np.errstate(invalid="ignore"), pytest.raises(DimensionError, match="not unitary"):
         UnitaryMatrix.composed(m)  # the probe's deviation is NaN, which used to pass
+
+
+def test_the_qubit_cap_follows_the_variable_from_call_to_call(monkeypatch):
+    """Each value is parsed once, but the variable is read on every call."""
+    for raw, cap in (("3", 3), ("12", 12), ("twelve", 16), (" 5 ", 5), ("3", 3)):
+        monkeypatch.setenv("QMLL_MAX_QUBITS", raw)
+        assert max_qubits() == cap
+    with pytest.raises(PreconditionError, match="cap of 3"):
+        identity_gate(4)
+    monkeypatch.delenv("QMLL_MAX_QUBITS")
+    assert max_qubits() == 16 and identity_gate(4).dim_qubits == 4

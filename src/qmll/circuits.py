@@ -143,8 +143,8 @@ def encode(circuit: Circuit) -> Proof:
     check_qubits(m)
     embedded = [embed_gate(u, targets, m) for u, targets in circuit.gates]
 
-    columns: list[list[tuple[UnitaryMatrix, int]]] = []
-    col: list[tuple[UnitaryMatrix, int]] = []
+    columns: list[list[UnitaryMatrix]] = []
+    col: list[UnitaryMatrix] = []
     depth_now = 0
     for eg in embedded:
         if eg.offset < depth_now:
@@ -152,15 +152,15 @@ def encode(circuit: Circuit) -> Proof:
             columns.append(col)
             col, depth_now = [], 0
         _pad(col, eg.offset - depth_now)
-        col.append((eg.unitary, eg.unitary.dim_qubits))
+        col.append(eg.unitary)
         depth_now = eg.offset + eg.unitary.dim_qubits
     _pad(col, m - depth_now)
     columns.append(col)
 
-    def build_column(entries: list[tuple[UnitaryMatrix, int]]) -> Proof:
+    def build_column(gates: list[UnitaryMatrix]) -> Proof:
         p: Proof = AxiomRule(ENCODE_ATOM)
-        for gate, arity in entries:
-            p = QRule(arity, gate, p)
+        for gate in gates:
+            p = QRule(gate.dim_qubits, gate, p)
         return p
 
     proof = build_column(columns[0])
@@ -169,10 +169,10 @@ def encode(circuit: Circuit) -> Proof:
     return proof
 
 
-def _pad(col: list[tuple[UnitaryMatrix, int]], n: int) -> None:
+def _pad(col: list[UnitaryMatrix], n: int) -> None:
     """Append an identity rule on n qubits to the column, if n is positive."""
     if n > 0:
-        col.append((identity_gate(n), n))
+        col.append(identity_gate(n))
 
 
 def extract(proof: Proof, entry_pos: int, ctx: Context,

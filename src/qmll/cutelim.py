@@ -26,11 +26,10 @@ offered one instance at a time.
 Each node carries a `Summary` (rule count, weight, how many redexes of each
 family its subtree holds, its own redex), computed the first time it is
 asked for and stored on the immutable node, so summarizing a new proof visits
-only the nodes built since. `weight`, `rule_count` and the default step
-bound read the root's summary, and `find_redexes` enters only the subtrees
-that hold the offered family. Summaries stay lazy because parsing and
-encoding build many proofs that are never normalized, and would pay for
-them at construction.
+only the nodes built since. `weight` and the default step bound read the
+root's summary, and `find_redexes` enters only the subtrees that hold the
+offered family. Summaries stay lazy because parsing and encoding build many
+proofs that are never normalized, and would pay for them at construction.
 
 One engine fires redexes: a zipper (`_Zipper`) that holds the proof as a
 focus subtree under a stack of parent frames. The zipper tracks the proof's
@@ -69,8 +68,8 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import MachineError, ProofError, StaleRedexError
-from .formulas import leading_run, modal_chain, print_formula
+from .errors import MachineError, StaleRedexError
+from .formulas import BOX_S, leading_run, modal_chain, print_formula
 from .matrices import identity_gate, kron_pair, matmul
 from .proofs import (AxiomRule, CutRule, ParRule, Path, Proof, QRule, TensorRule,
                      children, conclusion_position, path_str, premise_source, proofs_equal,
@@ -301,7 +300,7 @@ def _fire(node: Proof, redex: Redex) -> tuple[Proof, Perm]:
     if kind == "EtaExpand":
         run_kind, n = redex.data
         core = leading_run(node.formula)[2]
-        if run_kind == "box":
+        if run_kind == BOX_S:
             return QRule(n, identity_gate(n), AxiomRule(core)), _identity(2)
         return QRule(n, identity_gate(n), AxiomRule(core.dual)), (2, 1)
 
@@ -359,8 +358,6 @@ def _rebuild(node: Proof, k: int, new_child: Proof, sig: Perm) -> tuple[Proof, P
         return with_child(node, k, new_child), _identity(total)
 
     if isinstance(node, QRule):
-        if len(sig) != 2:
-            raise ProofError("quantum rule premise must keep two formulas")
         # a swapped premise is absorbed by flipping the modal orientation,
         # which reproduces the identical conclusion
         repl = QRule(node.arity, node.gate, new_child, flip=not node.flip)
@@ -436,8 +433,7 @@ class _Frame:
     `own` is its own redex over the current child. `left` sums the redex
     counts of everything left of the path at this frame and above, which is
     everything before the focus in post-order. `scale` sums 3^size(cut
-    formula) over the cuts among the frames; it stays 0 until `fire` needs
-    it, see `_Zipper.scale`.
+    formula) over the cuts among this frame and those above it.
     """
 
     __slots__ = ("node", "k", "own", "left", "scale")
@@ -445,9 +441,10 @@ class _Frame:
     def __init__(self, node: Proof, k: int, above: _Frame | None):
         self.node, self.k, self.own = node, k, node.summary.own
         self.left = children(node)[0].summary.counts if k else 0
-        self.scale = 0
+        self.scale = 3 ** node.cut_formula.size if type(node) is CutRule else 0
         if above is not None:
             self.left += above.left
+            self.scale += above.scale
 
 
 class _Zipper:
@@ -465,7 +462,6 @@ class _Zipper:
         self.focus, self.frames, self.path = p, [], []
         self.weight, self.rules, self.counts = s.weight, s.rules, s.counts
         self.width = len(p.conclusion)
-        self.scaled = 0  # frames[:scaled] hold their scale
 
     def down(self, k: int) -> None:
         """Move the focus to its child k."""
@@ -478,8 +474,6 @@ class _Zipper:
         """Move the focus to its parent, which gets the focus as child k."""
         fr = self.frames.pop()
         self.path.pop()
-        if self.scaled > len(self.frames):
-            self.scaled -= 1
         node = fr.node
         if children(node)[fr.k] is not self.focus:
             node = with_child(node, fr.k, self.focus)
@@ -522,27 +516,16 @@ class _Zipper:
                 _, kind, data = self.focus.summary.own
                 return Redex(kind, tuple(self.path), data)
 
-    def scale(self) -> int:
-        """The top frame's scale, filling the frames pushed since the last call, each once."""
-        frames = self.frames
-        below = frames[self.scaled - 1].scale if self.scaled else 0
-        for fr in frames[self.scaled:]:
-            node = fr.node
-            fr.scale += below + (3 ** node.cut_formula.size if type(node) is CutRule else 0)
-            below = fr.scale
-        self.scaled = len(frames)
-        return below
-
     def fire(self, r: Redex) -> Perm:
         """Fire `r` at the focus; returns the root conclusion permutation.
 
         The permutation is pushed into the frames only until it becomes the
         identity. The root weight changes by the focus's change in weight
-        plus its change in multiplicative rules times each cut ancestor's
-        3^size, which is the frames' `scale`, asked for only when that change
-        is not zero. The root's redex counts change by the focus's change in
-        counts and by the own redex of each frame rebuilt, or else of the
-        parent, whose premise changed.
+        plus its change in multiplicative rules times the sum of its cut
+        ancestors' 3^size, which is the top frame's `scale` (only
+        MultPrincipal changes that count). The root's redex counts change by
+        the focus's change in counts and by the own redex of each frame
+        rebuilt, or else of the parent, whose premise changed.
         """
         old = self.focus.summary
         new, sigma = _fire(self.focus, r)
@@ -550,8 +533,8 @@ class _Zipper:
         frames = self.frames
         d = len(frames)
         w = self.weight + s.weight - old.weight
-        if s.mult != old.mult:
-            w += (s.mult - old.mult) * self.scale()
+        if s.mult != old.mult and frames:
+            w += (s.mult - old.mult) * frames[-1].scale
         if w >= self.weight:
             raise MachineError(f"weight failed to decrease on {r}: {self.weight} -> {w}")
         self.weight, self.rules, self.focus = w, self.rules + s.rules - old.rules, new

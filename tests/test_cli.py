@@ -474,3 +474,33 @@ def test_a_position_that_is_no_integer_exits_2_with_one_line(tmp_path, capsys, p
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("syntax error: ") and captured.err.count("\n") == 1
+
+
+def test_check_writes_its_line_to_the_output_file(tmp_path, capsys):
+    f = write(tmp_path, "p.proof", "(q 1 H (ax a))")
+    assert main(["check", f]) == 0
+    printed = capsys.readouterr()
+    assert printed.out == "ok: |- <> ~a, [] a\n" and printed.err == ""
+    out = tmp_path / "out.txt"
+    assert main(["check", f, "-o", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == printed.out
+
+
+def test_check_runs_each_rules_side_conditions_once(tmp_path, capsys, monkeypatch):
+    from gen import random_circuit
+    from qmll.proofs import CutRule, ParRule, QRule, Rule, TensorRule, parse_proof, rule_count
+
+    circuit, proof = tmp_path / "wide.json", tmp_path / "wide.proof"
+    circuit.write_text(random_circuit(7002, 7, 30))
+    assert main(["encode", str(circuit), "-o", str(proof)]) == 0
+    nodes = rule_count(parse_proof(proof.read_text()))
+    calls = []
+    for cls in (Rule, CutRule, ParRule, TensorRule, QRule):
+        def counted(self, _violations=cls.__dict__["_violations"]):
+            calls.append(type(self))
+            return _violations(self)
+        monkeypatch.setattr(cls, "_violations", counted)
+    assert main(["check", str(proof)]) == 0
+    assert capsys.readouterr().out.startswith("ok: |- ")
+    assert len(calls) == nodes
